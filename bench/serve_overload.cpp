@@ -36,6 +36,7 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "common/threadpool.hpp"
 #include "core/selector.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"

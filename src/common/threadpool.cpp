@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -15,14 +16,51 @@ namespace {
 // waiting for queued sub-chunks can starve the very queue it is supposed
 // to drain (guaranteed deadlock on a pool of size 1). Nesting onto a
 // DIFFERENT pool still splits normally — that pool's workers are free to
-// drain it (and, inlining their own nested calls, never block), so e.g. a
-// dedicated serve fan-out pool keeps the global-pool tensor kernels
-// parallel.
+// drain it (and, inlining their own nested calls, never block).
 thread_local const ThreadPool* tl_worker_pool = nullptr;
+
+// Set while the calling thread runs its own lane of a run_lanes over this
+// pool: its nested calls run inline, like those of the pool's workers.
+thread_local const ThreadPool* tl_lane_pool = nullptr;
 
 // Set by mark_forked_child(): pools created before a fork() have no live
 // workers in the child, so parallel_for must stop handing them chunks.
 std::atomic<bool> g_forked_child{false};
+
+// Shared by the caller and the helper tasks of one run_lanes. Helpers
+// hold it by shared_ptr because they may be dequeued after the caller
+// returned; `closed` keeps those from touching `fn`.
+struct LaneState {
+    std::mutex mutex;
+    std::condition_variable idle_cv;
+    const std::function<void()>* fn = nullptr;
+    bool closed = false;      // the caller's lane returned; late helpers skip fn
+    std::size_t running = 0;  // helpers inside fn
+    std::exception_ptr error;
+};
+
+void run_helper(LaneState& state) {
+    {
+        const std::lock_guard<std::mutex> lock(state.mutex);
+        if (state.closed) {
+            return;
+        }
+        ++state.running;
+    }
+    std::exception_ptr error;
+    try {
+        (*state.fn)();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    const std::lock_guard<std::mutex> lock(state.mutex);
+    if (error && !state.error) {
+        state.error = error;
+    }
+    if (--state.running == 0) {
+        state.idle_cv.notify_all();
+    }
+}
 }  // namespace
 
 bool ThreadPool::on_worker_thread() { return tl_worker_pool != nullptr; }
@@ -73,12 +111,17 @@ void ThreadPool::enqueue(std::function<void()> task) {
     cv_.notify_one();
 }
 
+bool ThreadPool::runs_inline() const {
+    return tl_worker_pool == this || tl_lane_pool == this ||
+           g_forked_child.load(std::memory_order_relaxed);
+}
+
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t, std::size_t)>& fn) {
     if (begin >= end) {
         return;
     }
-    if (tl_worker_pool == this || g_forked_child.load(std::memory_order_relaxed)) {
+    if (runs_inline()) {
         fn(begin, end);
         return;
     }
@@ -143,6 +186,37 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     }
     if (state.error) {
         std::rethrow_exception(state.error);
+    }
+}
+
+void ThreadPool::run_lanes(std::size_t lanes, const std::function<void()>& fn) {
+    lanes = std::min(lanes, workers_.size() + 1);
+    if (lanes <= 1 || runs_inline()) {
+        fn();
+        return;
+    }
+    auto state = std::make_shared<LaneState>();
+    state->fn = &fn;
+    for (std::size_t lane = 1; lane < lanes; ++lane) {
+        enqueue([state] { run_helper(*state); });
+    }
+    std::exception_ptr error;
+    const ThreadPool* const saved = tl_lane_pool;
+    tl_lane_pool = this;
+    try {
+        fn();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    tl_lane_pool = saved;
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->closed = true;
+    state->idle_cv.wait(lock, [&state] { return state->running == 0; });
+    if (!error) {
+        error = state->error;
+    }
+    if (error) {
+        std::rethrow_exception(error);
     }
 }
 

@@ -11,9 +11,10 @@
 //                    tagged requests and dispatches them to the workers.
 //   worker pool      config.worker_threads compute threads, shared by ALL
 //                    connections. Each worker runs
-//                    BodyHost::process_request (decode -> per-body
-//                    forward -> encode into its own WireBufferPool ->
-//                    tagged replies), so the wire bytes are byte-identical
+//                    BodyHost::process_request (decode -> N body
+//                    forwards, spread over idle global-pool cores ->
+//                    encode into its own WireBufferPool -> tagged
+//                    replies), so the wire bytes are byte-identical
 //                    to serve()'s — the reactor changes WHO runs the
 //                    request, never WHAT it computes.
 //

@@ -11,6 +11,7 @@
 #include "common/stopwatch.hpp"
 #include "nn/compile.hpp"
 #include "serve/bundle.hpp"
+#include "serve/fanout.hpp"
 #include "split/split_model.hpp"
 
 namespace ens::serve {
@@ -100,15 +101,13 @@ void BodyHost::process_request(std::uint64_t request_id, std::string_view payloa
     // Mirror the request's payload encoding on the downlink so each round
     // trip stays byte-identical to the in-proc sequential transport.
     const split::WireFormat wire = split::encoded_wire_format(payload);
-    const Tensor features = split::decode_tensor(payload);
-    for (std::size_t n = 0; n < bodies_.size(); ++n) {
-        Tensor output;
-        {
-            const std::lock_guard<std::mutex> body_lock(forward_mutexes_[n]);
-            output = bodies_[n]->forward(features);
-        }
+    const std::vector<Tensor> outputs =
+        forward_bodies(bodies_, split::decode_tensor(payload), forward_mutexes_);
+    // Replies leave in body order, on this thread, only once every forward
+    // succeeded: a failed body costs the request all of its frames.
+    for (std::size_t n = 0; n < outputs.size(); ++n) {
         auto lease = reply_pool.acquire();
-        split::encode_into(output, wire, *lease);
+        split::encode_into(outputs[n], wire, *lease);
         unsigned char tag[kReplyTagBytes];
         encode_reply_tag(request_id, static_cast<std::uint32_t>(n), tag);
         out.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
@@ -128,10 +127,10 @@ void BodyHost::serve(split::Channel& channel) {
     // to max_inflight_ tagged requests at once and hands them to this
     // connection's worker pool — workers are spawned as the client's
     // observed depth grows and live until the connection ends, never one
-    // per request. Workers reply with tagged frames as each body finishes;
-    // Channel::send_parts serializes frames, so replies of different
-    // requests interleave at frame granularity without ever corrupting
-    // one.
+    // per request. Workers reply with tagged frames as each request
+    // finishes; Channel::send_parts serializes frames, so replies of
+    // different requests interleave at frame granularity without ever
+    // corrupting one.
     struct Work {
         std::uint64_t id = 0;
         std::string frame;  // tagged request; payload at kRequestTagBytes

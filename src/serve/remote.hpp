@@ -25,9 +25,10 @@
 //      per body, each naming the request id and body index), each encoded
 //      with the SAME wire format as its request. Up to max_inflight
 //      requests ride the connection concurrently: the host's recv loop
-//      dispatches them to a per-connection worker pool and replies
-//      complete in whatever order the bodies finish — tags, not stream
-//      position, carry the correspondence. Per-request bytes are
+//      dispatches them to a per-connection worker pool; one request's
+//      replies leave in body order, but replies of different requests
+//      interleave in whatever order the requests finish — tags, not
+//      stream position, carry the correspondence. Per-request bytes are
 //      byte-for-byte what the in-proc sequential CollaborativeSession
 //      would put on its downlink, so pipelined remote inference stays
 //      bit-identical to local (tests/serve asserts this).
@@ -40,7 +41,9 @@
 // thread-safe, but distinct bodies are independent objects — so both
 // concurrent connections and a single connection's in-flight window
 // overlap their compute across different bodies (the body array behaves
-// like a pipeline: request B runs body 0 while request A runs body 1).
+// like a pipeline: request B runs body 0 while request A runs body 1). A
+// lone request overlaps its own bodies instead, on idle cores of the
+// global pool (serve/fanout.hpp).
 
 #include <chrono>
 #include <cstdint>
@@ -147,15 +150,18 @@ public:
 
     /// Computes and ships the replies for ONE tagged request: decodes
     /// `payload` (the codec bytes after the request tag), runs every
-    /// hosted body (serialized per body via the forward mutexes, so any
-    /// number of callers may overlap on distinct bodies), and sends
-    /// body_count() tagged reply frames through `out`, each encoded into a
-    /// buffer leased from `reply_pool` with the request's own wire format
-    /// mirrored. This is the whole compute path of serve()'s workers,
-    /// exposed so an event-driven host (serve/reactor.hpp) can dispatch
-    /// parsed frames from ANY connection onto a shared bounded worker
-    /// pool. Thread-safe; throws typed ens::Error on decode/transport
-    /// failure (the caller owns teardown policy).
+    /// hosted body through serve::forward_bodies (spread over idle cores
+    /// of the global pool, serialized per body via the forward mutexes, so
+    /// any number of callers may overlap on distinct bodies), then sends
+    /// body_count() tagged reply frames through `out` in body order from
+    /// the calling thread, each encoded into a buffer leased from
+    /// `reply_pool` with the request's own wire format mirrored. A body
+    /// that throws leaves the request with no reply frames at all. This
+    /// is the whole compute path of serve()'s workers, exposed so an
+    /// event-driven host (serve/reactor.hpp) can dispatch parsed frames
+    /// from ANY connection onto a shared bounded worker pool. Thread-safe;
+    /// throws typed ens::Error on decode/transport failure (the caller
+    /// owns teardown policy).
     void process_request(std::uint64_t request_id, std::string_view payload,
                          split::WireBufferPool& reply_pool, split::Channel& out);
 
@@ -179,8 +185,9 @@ private:
     std::uint32_t wire_mask_ = split::all_wire_formats_mask();
     std::uint32_t deployment_version_ = 0;
     // One mutex per body: a layer's forward cache is not thread-safe, but
-    // distinct bodies may run concurrently — for different connections AND
-    // for different in-flight requests of one connection.
+    // distinct bodies may run concurrently — for different connections, for
+    // different in-flight requests of one connection, and for the fan-out
+    // lanes of one request.
     std::vector<std::mutex> forward_mutexes_;
     mutable std::mutex accept_mutex_;
     std::size_t accepted_ = 0;

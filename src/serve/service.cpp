@@ -8,6 +8,7 @@
 #include "defense/protected_model.hpp"
 #include "nn/compile.hpp"
 #include "serve/bundle.hpp"
+#include "serve/fanout.hpp"
 #include "split/codec.hpp"
 #include "split/split_model.hpp"
 #include "tensor/ops.hpp"
@@ -94,7 +95,8 @@ InferenceService::InferenceService(std::vector<nn::Layer*> bodies, ClientBundle 
       retained_(std::move(retained)),
       export_wire_mask_(export_wire_mask),
       export_max_inflight_(export_max_inflight),
-      optimized_(optimized) {
+      optimized_(optimized),
+      body_mutexes_(bodies_.size()) {
     ENS_REQUIRE(!bodies_.empty(), "InferenceService: no server bodies");
     for (const nn::Layer* body : bodies_) {
         ENS_REQUIRE(body != nullptr, "InferenceService: null body");
@@ -192,10 +194,6 @@ void InferenceService::enqueue(Pending pending) {
     queue_cv_.notify_all();
 }
 
-ThreadPool& InferenceService::pool() const {
-    return config_.pool != nullptr ? *config_.pool : global_pool();
-}
-
 void InferenceService::drain_loop() {
     for (;;) {
         std::vector<Pending> batch;
@@ -267,17 +265,7 @@ void InferenceService::process_group(std::vector<Pending*>& group) {
             return concat_batch(inputs);
         }();
 
-        std::vector<Tensor> body_outputs(bodies_.size());
-        const auto run_bodies = [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t n = lo; n < hi; ++n) {
-                body_outputs[n] = bodies_[n]->forward(merged);
-            }
-        };
-        if (config_.parallel_bodies && bodies_.size() > 1) {
-            pool().parallel_for(0, bodies_.size(), run_bodies);
-        } else {
-            run_bodies(0, bodies_.size());
-        }
+        const std::vector<Tensor> body_outputs = forward_bodies(bodies_, merged, body_mutexes_);
 
         // Client phase, per request: downlink one message per body (the
         // per-request slice, so quantization scales and byte accounting

@@ -234,7 +234,6 @@ private:
     void drain_loop();
     void process_batch(std::vector<Pending> batch);
     void process_group(std::vector<Pending*>& group);
-    ThreadPool& pool() const;
 
     std::vector<nn::Layer*> bodies_;
     ClientBundle bundle_;
@@ -244,6 +243,9 @@ private:
     std::uint32_t export_wire_mask_;
     std::size_t export_max_inflight_;  // 0 = serve/protocol default
     bool optimized_ = false;           // bodies were graph-compiled at boot
+    // One per body, held by its forward in forward_bodies. Only the service
+    // thread runs bodies, so these are never contended.
+    std::vector<std::mutex> body_mutexes_;
 
     std::mutex client_mutex_;  // serializes the shared client-side layers
 

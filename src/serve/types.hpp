@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "common/threadpool.hpp"
 #include "split/codec.hpp"
 #include "tensor/tensor.hpp"
 
@@ -46,15 +45,6 @@ struct ServeConfig {
 
     /// Wire format for sessions that do not pick their own.
     split::WireFormat default_wire_format = split::WireFormat::f32;
-
-    /// Fan the N body forwards of a batch out across the pool. Disable to
-    /// run bodies sequentially on the service thread (deterministic
-    /// profiling).
-    bool parallel_bodies = true;
-
-    /// Pool for the body fan-out; nullptr uses ens::global_pool(). The
-    /// tensor kernels inside each body always use the global pool.
-    ThreadPool* pool = nullptr;
 
     /// from_bundle only: run the graph compiler (nn/compile.hpp — BN
     /// folding, activation fusion, noise baking, repack) over every loaded

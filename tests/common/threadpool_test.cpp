@@ -1,8 +1,10 @@
 #include "common/threadpool.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,8 +109,7 @@ TEST(ThreadPool, NestedParallelForFromWorkerRunsInline) {
 }
 
 // Nesting onto a DIFFERENT pool must still split (its workers are free to
-// drain the chunks), so a dedicated fan-out pool doesn't serialize the
-// global-pool kernels running inside its tasks.
+// drain the chunks), so tasks of one pool can still use another's workers.
 TEST(ThreadPool, CrossPoolNestingStillParallelizes) {
     ThreadPool outer(1);
     ThreadPool inner(1);
@@ -121,6 +122,93 @@ TEST(ThreadPool, CrossPoolNestingStillParallelizes) {
         }
     });
     EXPECT_EQ(inner_total.load(), 4 * 8);
+}
+
+TEST(ThreadPool, RunLanesSharesWorkAndRunsNestedCallsInline) {
+    ThreadPool pool(3);
+    std::vector<std::atomic<int>> hits(200);
+    std::atomic<std::size_t> next{0};
+    std::atomic<int> nested_splits{0};
+    pool.run_lanes(4, [&] {
+        for (std::size_t i = next.fetch_add(1); i < hits.size(); i = next.fetch_add(1)) {
+            hits[i].fetch_add(1);
+            // Every lane, the calling thread's included, runs nested work
+            // inline: exactly one call over the whole range.
+            pool.parallel_for(0, 8, [&](std::size_t lo, std::size_t hi) {
+                if (lo != 0 || hi != 8) {
+                    nested_splits.fetch_add(1);
+                }
+            });
+        }
+    });
+    for (const auto& h : hits) {
+        EXPECT_EQ(h.load(), 1);
+    }
+    EXPECT_EQ(nested_splits.load(), 0);
+    // Outside the lanes the caller splits again.
+    std::atomic<int> chunks{0};
+    pool.parallel_for(0, 8, [&](std::size_t, std::size_t) { chunks.fetch_add(1); });
+    EXPECT_GT(chunks.load(), 1);
+}
+
+TEST(ThreadPool, RunLanesWithOneLaneCallsFnOnceOnTheCaller) {
+    ThreadPool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    int calls = 0;
+    bool foreign_thread = false;
+    pool.run_lanes(1, [&] {
+        ++calls;
+        foreign_thread = std::this_thread::get_id() != caller;
+    });
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(foreign_thread);
+}
+
+// The caller waits only for lanes that started: with the only worker busy
+// elsewhere, run_lanes returns after the caller's own fn, and the helper
+// task dequeued later must not call fn any more.
+TEST(ThreadPool, RunLanesNeverWaitsOnAQueuedHelper) {
+    std::atomic<int> calls{0};
+    std::atomic<bool> release{false};
+    std::atomic<bool> released_by_watchdog{false};
+    {
+        ThreadPool pool(1);
+        std::atomic<bool> worker_busy{false};
+        std::thread occupier([&] {
+            pool.parallel_for(0, 2, [&](std::size_t, std::size_t) {
+                if (ThreadPool::on_worker_thread()) {
+                    worker_busy.store(true);
+                    while (!release.load()) {
+                        std::this_thread::yield();
+                    }
+                }
+            });
+        });
+        while (!worker_busy.load()) {
+            std::this_thread::yield();
+        }
+        // Unblocks a broken run_lanes instead of hanging the suite.
+        std::thread watchdog([&] {
+            for (int i = 0; i < 1000 && !release.load(); ++i) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            }
+            released_by_watchdog.store(!release.exchange(true));
+        });
+        pool.run_lanes(2, [&] { calls.fetch_add(1); });
+        const int calls_at_return = calls.load();
+        release.store(true);
+        watchdog.join();
+        occupier.join();
+        EXPECT_FALSE(released_by_watchdog.load()) << "run_lanes waited on a queued helper";
+        EXPECT_EQ(calls_at_return, 1);
+    }  // the pool drains its queue (the late helper) before it is destroyed
+    EXPECT_EQ(calls.load(), 1) << "a helper dequeued after the caller returned ran fn";
+}
+
+TEST(ThreadPool, RunLanesRethrowsALaneException) {
+    ThreadPool pool(2);
+    EXPECT_THROW(pool.run_lanes(3, [] { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
 }
 
 TEST(ThreadPool, GlobalPoolWorks) {

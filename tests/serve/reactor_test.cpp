@@ -18,6 +18,12 @@
 //   - Graceful shutdown: a forked reactor daemon receiving SIGTERM with a
 //     window of requests in flight answers every one of them (no torn
 //     replies), then exits 0.
+//   - Body fan-out: one lone request on a single reactor worker overlaps
+//     its N body forwards (measured by a body decorator), yet its reply
+//     frames leave in body order, byte-identical to the oracle's downlink;
+//     a body that throws costs its request every frame and its connection
+//     (typed), and the host keeps serving fresh connections. Pool lanes
+//     never wait on a body mutex another request holds.
 //
 // Bit-parity oracle: the same in-proc sequential CollaborativeSession the
 // other serve suites compare against.
@@ -26,7 +32,10 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <fstream>
 #include <functional>
@@ -38,8 +47,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/threadpool.hpp"
 #include "core/selector.hpp"
 #include "serve/deployment.hpp"
+#include "serve/fanout.hpp"
 #include "serve/protocol.hpp"
 #include "serve/reactor.hpp"
 #include "serve/remote.hpp"
@@ -47,6 +58,7 @@
 #include "split/channel.hpp"
 #include "split/codec.hpp"
 #include "split/session.hpp"
+#include "split/tap_channel.hpp"
 #include "split/tcp_channel.hpp"
 
 namespace ens::serve {
@@ -378,6 +390,300 @@ TEST(ReactorSwap, SwapRefusesAShapeChange) {
     }
     EXPECT_EQ(manager->version(), 1u);
     EXPECT_EQ(manager->swaps_completed(), 0u);
+}
+
+// ------------------------------------------------------------ body fan-out
+
+constexpr std::size_t kFanoutBodies = 4;
+
+/// Shared by the probed bodies of one host: how many forwards run at once,
+/// and which body (if any) throws.
+struct ForwardProbe {
+    std::mutex mutex;
+    std::condition_variable joined;
+    std::size_t running = 0;
+    std::size_t peak = 0;
+    std::atomic<std::size_t> failing_body{kFanoutBodies};  // none
+};
+
+/// Body decorator recording forward overlap. A forward that finds itself
+/// alone waits (bounded) for a second one to join, so a working fan-out
+/// shows its overlap even though each linear body is instant; a serial
+/// host only pays the bound.
+class ProbedBody final : public nn::Layer {
+public:
+    ProbedBody(nn::LayerPtr inner, std::size_t index, ForwardProbe& probe)
+        : inner_(std::move(inner)), index_(index), probe_(probe) {
+        training_ = false;
+    }
+
+    Tensor forward(const Tensor& input) override {
+        {
+            std::unique_lock<std::mutex> lock(probe_.mutex);
+            probe_.peak = std::max(probe_.peak, ++probe_.running);
+            probe_.joined.notify_all();
+            probe_.joined.wait_for(lock, std::chrono::seconds(2),
+                                   [&] { return probe_.peak >= 2; });
+        }
+        struct Leave {
+            ForwardProbe& probe;
+            ~Leave() {
+                const std::lock_guard<std::mutex> lock(probe.mutex);
+                --probe.running;
+            }
+        } leave{probe_};
+        if (index_ == probe_.failing_body.load()) {
+            throw Error(ErrorCode::generic, "probed body " + std::to_string(index_) + " failed");
+        }
+        return inner_->forward(input);
+    }
+
+    Tensor backward(const Tensor&) override {
+        throw std::logic_error("ProbedBody is forward-only (test decorator)");
+    }
+
+    std::string name() const override { return "ProbedBody"; }
+
+private:
+    nn::LayerPtr inner_;
+    std::size_t index_;
+    ForwardProbe& probe_;
+};
+
+std::shared_ptr<BodyHost> make_probed_host(std::uint64_t seed, ForwardProbe& probe) {
+    harness::EnsembleParts parts = harness::make_linear_ensemble(seed, kFanoutBodies,
+                                                                 /*num_selected=*/2);
+    std::vector<nn::LayerPtr> bodies;
+    for (std::size_t n = 0; n < kFanoutBodies; ++n) {
+        bodies.push_back(std::make_unique<ProbedBody>(std::move(parts.bodies[n]), n, probe));
+    }
+    return std::make_shared<BodyHost>(std::move(bodies));
+}
+
+/// The sequential in-proc oracle over the same 4 bodies, with both links
+/// tapped: the uplink log holds each request's exact payload bytes, the
+/// downlink log the N reply payloads in body order.
+struct TappedOracle {
+    harness::EnsembleParts parts;
+    core::Selector selector{kFanoutBodies, {0, 3}};
+    std::shared_ptr<split::TapLog> uplink_log = std::make_shared<split::TapLog>();
+    std::shared_ptr<split::TapLog> downlink_log = std::make_shared<split::TapLog>();
+    split::TapChannel uplink{std::make_unique<split::InProcChannel>(), uplink_log};
+    split::TapChannel downlink{std::make_unique<split::InProcChannel>(), downlink_log};
+    std::unique_ptr<split::CollaborativeSession> session;
+
+    explicit TappedOracle(std::uint64_t seed)
+        : parts(harness::make_linear_ensemble(seed, kFanoutBodies, /*num_selected=*/2)) {
+        harness::set_eval(parts);
+        std::vector<nn::Layer*> bodies;
+        for (nn::LayerPtr& body : parts.bodies) {
+            bodies.push_back(body.get());
+        }
+        session = std::make_unique<split::CollaborativeSession>(
+            *parts.head, bodies, *parts.tail,
+            [this](const std::vector<Tensor>& features) { return selector.apply(features); },
+            uplink, downlink, split::WireFormat::f32);
+    }
+};
+
+std::unique_ptr<split::TcpChannel> raw_connect(std::uint16_t port) {
+    auto channel = split::tcp_connect("127.0.0.1", port);
+    channel->set_recv_timeout(kRequestTimeout);
+    const HostInfo info = decode_handshake(channel->recv());
+    EXPECT_EQ(info.total_bodies, kFanoutBodies);
+    return channel;
+}
+
+void send_request(split::Channel& channel, std::uint64_t id, const std::string& payload) {
+    unsigned char tag[kRequestTagBytes];
+    encode_request_tag(id, tag);
+    channel.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
+                       payload);
+}
+
+/// Sends one oracle request over a raw connection and expects its N reply
+/// frames in body order, each byte-identical to the oracle's downlink.
+void expect_ordered_replies(split::Channel& channel, std::uint64_t id, const Tensor& input,
+                            TappedOracle& oracle, const char* what) {
+    (void)oracle.session->infer(input);
+    const std::vector<std::string> requests = oracle.uplink_log->sent();
+    const std::vector<std::string> replies = oracle.downlink_log->sent();
+    ASSERT_GE(replies.size(), kFanoutBodies);
+    send_request(channel, id, requests.back());
+    for (std::size_t n = 0; n < kFanoutBodies; ++n) {
+        const std::string frame = channel.recv();
+        std::string_view payload;
+        const ReplyTag reply = parse_reply_frame(frame, payload);
+        EXPECT_EQ(reply.request_id, id) << what;
+        EXPECT_EQ(reply.body_seq, n) << what << ": replies out of body order";
+        EXPECT_TRUE(payload == replies[replies.size() - kFanoutBodies + n])
+            << what << ": body " << n << " reply differs from the oracle";
+    }
+}
+
+TEST(ReactorFanout, LoneRequestOverlapsBodiesAndRepliesInBodyOrder) {
+    ForwardProbe probe;
+    auto manager = std::make_shared<DeploymentManager>(make_probed_host(kSeed, probe));
+    ReactorConfig config;
+    config.worker_threads = 1;  // any overlap must come from the fan-out
+    config.drain_grace = std::chrono::milliseconds(50);
+    ReactorFixture fixture(std::move(manager), config);
+
+    TappedOracle oracle(kSeed);
+    auto channel = raw_connect(fixture.port());
+    Rng data_rng(11);
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+        expect_ordered_replies(*channel, id,
+                               Tensor::randn(Shape{static_cast<std::int64_t>(id), harness::kIn},
+                                             data_rng),
+                               oracle, "lone request");
+    }
+    EXPECT_GE(probe.peak, 2u) << "a lone request ran its body forwards one at a time";
+    // The gauge ticks after the last frame is sent, so it may trail it.
+    EXPECT_TRUE(eventually([&] { return fixture.reactor().gauges().requests_served == 3; }));
+    channel->close();
+}
+
+TEST(ReactorFanout, FailedBodyDropsTheRequestAndConnectionOnly) {
+    ForwardProbe probe;
+    auto manager = std::make_shared<DeploymentManager>(make_probed_host(kSeed, probe));
+    ReactorConfig config;
+    config.worker_threads = 1;
+    config.drain_grace = std::chrono::milliseconds(50);
+    ReactorFixture fixture(std::move(manager), config);
+
+    TappedOracle oracle(kSeed);
+    Rng data_rng(12);
+    probe.failing_body.store(2);
+    auto doomed = raw_connect(fixture.port());
+    (void)oracle.session->infer(Tensor::randn(Shape{1, harness::kIn}, data_rng));
+    send_request(*doomed, 1, oracle.uplink_log->sent().back());
+    std::size_t frames = 0;
+    try {
+        for (;;) {
+            (void)doomed->recv();
+            ++frames;
+        }
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::channel_closed) << e.what();
+    }
+    EXPECT_EQ(frames, 0u) << "a request whose body failed still got reply frames";
+    EXPECT_TRUE(eventually([&] { return fixture.reactor().gauges().connections_dropped >= 1; }));
+    EXPECT_EQ(fixture.reactor().gauges().requests_served, 0u);
+
+    probe.failing_body.store(kFanoutBodies);
+    auto fresh = raw_connect(fixture.port());
+    expect_ordered_replies(*fresh, 2, Tensor::randn(Shape{2, harness::kIn}, data_rng), oracle,
+                           "after a failed body");
+    fresh->close();
+}
+
+// A pool lane never waits for a body mutex another request holds: it takes
+// a free body or leaves. So while bodies 1.. are held, every pool worker
+// stays available — the holder's own parallel_for (a batched conv, say)
+// can always be served, and nothing deadlocks at any ENS_THREADS.
+TEST(BodyFanout, PoolLanesNeverWaitOnABusyBody) {
+    harness::EnsembleParts parts = harness::make_linear_ensemble(kSeed, kFanoutBodies,
+                                                                 /*num_selected=*/2);
+    harness::set_eval(parts);
+    std::vector<nn::Layer*> bodies;
+    for (nn::LayerPtr& body : parts.bodies) {
+        bodies.push_back(body.get());
+    }
+    Rng data_rng(13);
+    const Tensor input = Tensor::randn(Shape{2, harness::kHidden}, data_rng);
+    std::vector<Tensor> expected;
+    for (nn::Layer* body : bodies) {
+        expected.push_back(body->forward(input));
+    }
+
+    std::vector<std::mutex> body_mutexes(kFanoutBodies);
+    std::vector<std::unique_lock<std::mutex>> held;
+    for (std::size_t n = 1; n < kFanoutBodies; ++n) {
+        held.emplace_back(body_mutexes[n]);
+    }
+    std::vector<Tensor> outputs;
+    std::thread request([&] { outputs = forward_bodies(bodies, input, body_mutexes); });
+    // Body 0 is the only free one; give the request's pool lanes time to
+    // take it or leave.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // Every pool worker must now join a barrier with the caller.
+    ThreadPool& pool = global_pool();
+    const std::size_t lanes = pool.size() + 1;
+    std::mutex barrier_mutex;
+    std::condition_variable barrier_cv;
+    std::size_t arrived = 0;
+    std::promise<bool> all_arrived;
+    std::thread checker([&] {
+        std::atomic<bool> complete{true};
+        pool.parallel_for(0, lanes, [&](std::size_t lo, std::size_t hi) {
+            std::unique_lock<std::mutex> lock(barrier_mutex);
+            arrived += hi - lo;
+            barrier_cv.notify_all();
+            if (!barrier_cv.wait_for(lock, std::chrono::seconds(10),
+                                     [&] { return arrived == lanes; })) {
+                complete.store(false);
+            }
+        });
+        all_arrived.set_value(complete.load());
+    });
+    std::future<bool> barrier = all_arrived.get_future();
+    const bool met = barrier.wait_for(std::chrono::seconds(20)) == std::future_status::ready &&
+                     barrier.get();
+    held.clear();  // lets a blocked lane (the failure mode) finish too
+    checker.join();
+    request.join();
+    EXPECT_TRUE(met) << "a pool worker was stuck on a busy body";
+    ASSERT_EQ(outputs.size(), kFanoutBodies);
+    for (std::size_t n = 0; n < kFanoutBodies; ++n) {
+        EXPECT_EQ(outputs[n].to_vector(), expected[n].to_vector()) << "body " << n;
+    }
+}
+
+// More fan-outs in flight than the pool has lanes: the last ones run at
+// width 1, their callers claiming every body alone and waiting on the
+// bodies the others hold. Every request still gets the serial outputs.
+TEST(BodyFanout, ConcurrentFanOutsMatchTheSerialOutputs) {
+    harness::EnsembleParts parts = harness::make_linear_ensemble(kSeed, kFanoutBodies,
+                                                                 /*num_selected=*/2);
+    harness::set_eval(parts);
+    std::vector<nn::Layer*> bodies;
+    for (nn::LayerPtr& body : parts.bodies) {
+        bodies.push_back(body.get());
+    }
+    Rng data_rng(14);
+    const Tensor input = Tensor::randn(Shape{3, harness::kHidden}, data_rng);
+    std::vector<Tensor> expected;
+    for (nn::Layer* body : bodies) {
+        expected.push_back(body->forward(input));
+    }
+
+    // Holding every body keeps the fan-outs that started in flight, so
+    // the later ones see more fan-outs than lanes.
+    std::vector<std::mutex> body_mutexes(kFanoutBodies);
+    std::vector<std::unique_lock<std::mutex>> held;
+    for (std::mutex& body_mutex : body_mutexes) {
+        held.emplace_back(body_mutex);
+    }
+    const std::size_t requests = global_pool().size() + 3;
+    std::vector<std::vector<Tensor>> outputs(requests);
+    std::vector<std::thread> threads;
+    for (std::size_t r = 0; r < requests; ++r) {
+        threads.emplace_back([&, r] { outputs[r] = forward_bodies(bodies, input, body_mutexes); });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    held.clear();
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    for (std::size_t r = 0; r < requests; ++r) {
+        ASSERT_EQ(outputs[r].size(), kFanoutBodies) << "request " << r;
+        for (std::size_t n = 0; n < kFanoutBodies; ++n) {
+            EXPECT_EQ(outputs[r][n].to_vector(), expected[n].to_vector())
+                << "request " << r << ", body " << n;
+        }
+    }
 }
 
 TEST(ReactorShutdown, SigtermDrainsInFlightWindowsAndExitsZero) {
