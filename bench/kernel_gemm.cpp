@@ -44,10 +44,14 @@ std::vector<ShapeSpec> shapes_for(ens::bench::Scale scale) {
     // Body shapes: width-w ResNet body conv3x3 at its wire feature map
     // ([w, 16, 16] at the paper's CIFAR split) and the tail Linear over a
     // coalesced batch. Square shapes anchor the scaling curve; 256^3 is the
-    // acceptance gate and survives every scale.
+    // acceptance gate and survives every scale. The stage-4 rows are the
+    // paper-geometry 512-channel conv at 2x2 positions: batch 1 (n = 4, the
+    // narrow tile) and a batch of 4 folded into one GEMM (n = 16).
     std::vector<ShapeSpec> shapes = {
         {"conv3x3-w8", 8, 256, 72},        // [8, 8*9] @ [72, 16*16]
         {"conv3x3-w64", 64, 256, 576},     // [64, 64*9] @ [576, 16*16]
+        {"conv3x3-w512-2x2", 512, 4, 4608},      // [512, 512*9] @ [4608, 2*2]
+        {"conv3x3-w512-2x2-b4", 512, 16, 4608},  // [512, 512*9] @ [4608, 4*2*2]
         {"tail-linear", 32, 10, 640},      // [batch, 10*width] @ W^T
         {"square-64", 64, 64, 64},
         {"square-128", 128, 128, 128},

@@ -1,9 +1,11 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
@@ -70,17 +72,31 @@ ConvGeometry Conv2d::geometry_for(const Tensor& input) const {
     return geom;
 }
 
+namespace {
+
+/// `buffer` with room for at least `floats` floats. Forward scratch is
+/// thread-local and only ever grows, so steady-state forwards allocate none.
+float* grown(std::vector<float>& buffer, std::int64_t floats) {
+    if (buffer.size() < static_cast<std::size_t>(floats)) {
+        buffer.resize(static_cast<std::size_t>(floats));
+    }
+    return buffer.data();
+}
+
+}  // namespace
+
 Tensor Conv2d::forward(const Tensor& input) {
     const ConvGeometry geom = geometry_for(input);
     cached_input_ = input;
     const std::int64_t batch = input.dim(0);
     const std::int64_t positions = geom.out_positions();
+    const std::int64_t patch = geom.patch_size();
     Tensor output(Shape{batch, out_channels_, geom.out_h(), geom.out_w()});
 
     const std::int64_t in_plane = in_channels_ * geom.in_h * geom.in_w;
     const std::int64_t out_plane = out_channels_ * positions;
 
-    // Eval mode reuses a packed copy of the weight across every image (and
+    // Eval mode reuses a packed copy of the weight across every group (and
     // every request — the pack survives between forwards). The packed and
     // unpacked paths are bit-identical (see gemm_kernel.hpp), so toggling
     // modes never changes outputs.
@@ -90,31 +106,58 @@ Tensor Conv2d::forward(const Tensor& input) {
                             /*trans_a=*/false, out_channels_, weight_.value.dim(1));
     }
 
-    parallel_for(0, static_cast<std::size_t>(batch), [&](std::size_t lo, std::size_t hi) {
-        Tensor col(Shape{geom.patch_size(), positions});
-        Tensor out_mat(Shape{out_channels_, positions});
-        for (std::size_t n = lo; n < hi; ++n) {
-            im2col(input.data() + static_cast<std::int64_t>(n) * in_plane, geom, col.data());
-            if (use_packed) {
-                kernel::gemm_packed_a(packed_weight_, col.data(), positions, /*trans_b=*/false,
-                                      positions, out_mat.data(), positions, 1.0f, 0.0f,
-                                      /*parallel=*/false);
-            } else {
-                gemm_serial(weight_.value, false, col, false, out_mat);
+    // Fold `group` images into one GEMM, [O, K] @ [K, group * P], so the
+    // weight streams through the cache once per group instead of once per
+    // image. group * P <= O keeps the patch matrix no larger than the
+    // weight, so scratch stays bounded at any batch. Each C element is
+    // computed on its own (gemm_kernel.hpp), so folding changes no bit.
+    const std::int64_t group =
+        std::max<std::int64_t>(1, std::min(out_channels_ / positions, batch));
+    const std::int64_t groups = (batch + group - 1) / group;
+    // Folding a whole batch into one group leaves the loop below nothing to
+    // spread, so that GEMM splits its row strips over the pool instead. A
+    // batch of one stays serial: splitting a batch-1 client head costs more
+    // pool hand-offs than it saves. On a pool worker or a fan-out lane both
+    // run inline.
+    const bool gemm_parallel = groups == 1 && batch > 1;
+
+    parallel_for(0, static_cast<std::size_t>(groups), [&](std::size_t lo, std::size_t hi) {
+        thread_local std::vector<float> col_scratch;
+        thread_local std::vector<float> out_scratch;
+        for (std::size_t g = lo; g < hi; ++g) {
+            const std::int64_t first = static_cast<std::int64_t>(g) * group;
+            const std::int64_t count = std::min(group, batch - first);
+            const std::int64_t cols = count * positions;
+            float* col = grown(col_scratch, patch * cols);
+            float* out = grown(out_scratch, out_channels_ * cols);
+            for (std::int64_t b = 0; b < count; ++b) {
+                im2col(input.data() + (first + b) * in_plane, geom, col + b * positions, cols);
             }
-            float* dst = output.data() + static_cast<std::int64_t>(n) * out_plane;
-            const float* src = out_mat.data();
-            if (with_bias_) {
-                const float* b = bias_.value.data();
+            if (use_packed) {
+                kernel::gemm_packed_a(packed_weight_, col, cols, /*trans_b=*/false, cols, out,
+                                      cols, 1.0f, 0.0f, gemm_parallel);
+            } else {
+                kernel::gemm_blocked(out_channels_, cols, patch, weight_.value.data(), patch,
+                                     /*trans_a=*/false, col, cols, /*trans_b=*/false, out, cols,
+                                     1.0f, 0.0f, gemm_parallel);
+            }
+            // Scatter C[O, count * P] back to NCHW, adding the bias.
+            for (std::int64_t b = 0; b < count; ++b) {
+                float* dst = output.data() + (first + b) * out_plane;
                 for (std::int64_t c = 0; c < out_channels_; ++c) {
-                    for (std::int64_t p = 0; p < positions; ++p) {
-                        dst[c * positions + p] = src[c * positions + p] + b[c];
+                    const float* src = out + c * cols + b * positions;
+                    float* dst_row = dst + c * positions;
+                    if (with_bias_) {
+                        const float bc = bias_.value.data()[c];
+                        for (std::int64_t p = 0; p < positions; ++p) {
+                            dst_row[p] = src[p] + bc;
+                        }
+                    } else {
+                        std::copy(src, src + positions, dst_row);
                     }
                 }
-            } else {
-                std::copy(src, src + out_plane, dst);
+                apply_epilogue(epilogue_, epilogue_slope_, dst, out_plane);
             }
-            apply_epilogue(epilogue_, epilogue_slope_, dst, out_plane);
         }
     });
     return output;

@@ -1,5 +1,17 @@
 #pragma once
-// 2-d convolution (NCHW) via im2col + GEMM, batch-parallel.
+// 2-d convolution (NCHW) via im2col + GEMM.
+//
+// The forward folds groups of g = clamp(out_channels / positions, 1, batch)
+// images into one GEMM: each image's patch block lands side by side in one
+// [patch, g * positions] matrix, the (packed, in eval mode) weight
+// multiplies it once, and the output is scattered back to NCHW. Small
+// feature maps (deep stages) fold the whole batch, so the weight is read
+// once per forward instead of once per image; large ones (g = 1) keep the
+// per-image lowering. Groups run in parallel_for, or, when a batch of
+// several images is a single group, that GEMM splits its strips over the
+// pool; every output is bit-identical to a loop of batch-1 forwards (see
+// gemm_kernel.hpp's determinism contract). Backward lowers one image at a
+// time.
 
 #include "nn/layer.hpp"
 #include "tensor/gemm_kernel.hpp"

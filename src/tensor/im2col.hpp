@@ -11,9 +11,11 @@
 // layout gemm/gemm_serial expect — the kernel's packing stage handles
 // alignment, so `col` needs none. `src` and `col` must not alias (both
 // functions are annotated ENS_RESTRICT and write/read assuming disjoint
-// buffers). Conv2d calls im2col + a serial GEMM per image from inside its
-// batch parallel_for, which is the intended composition: one pool, outer
-// parallelism over images, stride-1 inner loops here.
+// buffers). Conv2d folds a group of images into one patch matrix — image
+// b of the group writes its [patch_size, out_positions] block at column
+// offset b * out_positions of a matrix with row stride `ld` — and runs one
+// GEMM per group from inside its parallel_for over groups: one pool,
+// outer parallelism over groups, stride-1 inner loops here.
 
 #include <cstdint>
 
@@ -37,8 +39,15 @@ struct ConvGeometry {
 };
 
 /// Gathers patches from one image plane set `src` (layout [C, H, W],
-/// contiguous) into `col` (layout [patch_size, out_positions], contiguous).
-void im2col(const float* src, const ConvGeometry& geom, float* col);
+/// contiguous) into the [patch_size, out_positions] block at `col`, whose
+/// rows are `ld` floats apart (ld >= out_positions). Columns outside the
+/// block are left untouched.
+void im2col(const float* src, const ConvGeometry& geom, float* col, std::int64_t ld);
+
+/// Contiguous form: ld = out_positions.
+inline void im2col(const float* src, const ConvGeometry& geom, float* col) {
+    im2col(src, geom, col, geom.out_positions());
+}
 
 /// Accumulates (+=) columns back into the image gradient `dst`
 /// (layout [C, H, W]); caller zero-fills dst first.

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +65,55 @@ TEST(Conv2d, FrozenWeightsSkipGradientAccumulation) {
     const Tensor y = conv.forward(x);
     conv.backward(Tensor::ones(y.shape()));
     EXPECT_FLOAT_EQ(squared_norm(conv.weight().grad), 0.0f);
+}
+
+/// Conv2d folds g = clamp(out / positions, 1, batch) images into one GEMM.
+/// Each case notes its g; batches 1-5 then cover unfolded, whole-batch and
+/// ragged last groups.
+struct FoldCase {
+    std::int64_t in, out, kernel, stride, padding, hw;
+};
+
+class Conv2dFold : public ::testing::TestWithParam<FoldCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, Conv2dFold,
+    ::testing::Values(FoldCase{3, 32, 3, 1, 1, 8},    // 64 positions, g = 1
+                      FoldCase{8, 32, 3, 2, 1, 8},    // stride 2, 16 positions, g = 2
+                      FoldCase{8, 32, 3, 1, 1, 2},    // 4 positions, g = 8
+                      FoldCase{8, 12, 3, 1, 1, 2},    // 4 positions, g = 3
+                      FoldCase{16, 24, 1, 2, 0, 4},   // 1x1 projection, 4 positions, g = 6
+                      FoldCase{8, 16, 3, 1, 1, 1},    // 1 position, g = 16
+                      FoldCase{4, 3, 3, 2, 1, 2}));   // 1 position, g = 3
+
+TEST_P(Conv2dFold, BatchForwardIsBitIdenticalToPerImageForwards) {
+    const FoldCase p = GetParam();
+    Rng rng(0xF01D + static_cast<std::uint64_t>(p.out * 100 + p.hw * 10 + p.kernel));
+    Conv2d conv(p.in, p.out, p.kernel, p.stride, p.padding, rng, /*with_bias=*/true);
+    const Tensor bias = Tensor::randn(Shape{p.out}, rng);
+    conv.assign_parameters(conv.weight().value.clone(), &bias);
+    conv.set_epilogue(Epilogue::relu);
+
+    for (const bool training : {true, false}) {
+        conv.set_training(training);
+        for (std::int64_t batch = 1; batch <= 5; ++batch) {
+            SCOPED_TRACE(std::string(training ? "training" : "eval") + ", batch " +
+                         std::to_string(batch));
+            const Tensor x = Tensor::randn(Shape{batch, p.in, p.hw, p.hw}, rng);
+            const Tensor y = conv.forward(x);
+            const std::int64_t in_plane = p.in * p.hw * p.hw;
+            const std::int64_t out_plane = y.numel() / batch;
+            for (std::int64_t b = 0; b < batch; ++b) {
+                const Tensor xb = Tensor::from_vector(
+                    Shape{1, p.in, p.hw, p.hw},
+                    std::vector<float>(x.data() + b * in_plane, x.data() + (b + 1) * in_plane));
+                const std::vector<float> expected = conv.forward(xb).to_vector();
+                const std::vector<float> got(y.data() + b * out_plane,
+                                             y.data() + (b + 1) * out_plane);
+                EXPECT_EQ(got, expected) << "image " << b;
+            }
+        }
+    }
 }
 
 TEST(BatchNorm2d, NormalizesBatchInTraining) {

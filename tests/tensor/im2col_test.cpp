@@ -71,6 +71,43 @@ TEST(Im2col, StrideSkipsPositions) {
     EXPECT_EQ(geom.out_w(), 2);
 }
 
+TEST(Im2col, LeadingDimensionWritesOnlyItsColumnBlock) {
+    // Conv2d's batch fold: image b writes its [patch, positions] block at
+    // column offset b * positions of a wider matrix.
+    ConvGeometry geom;
+    geom.in_channels = 3;
+    geom.in_h = 5;
+    geom.in_w = 4;
+    geom.kernel_h = 3;
+    geom.kernel_w = 3;
+    geom.stride = 2;
+    geom.padding = 1;
+    Rng rng(13);
+    const Tensor x = Tensor::randn(Shape{3, 5, 4}, rng);
+    const std::int64_t positions = geom.out_positions();
+    const std::int64_t rows = geom.patch_size();
+    Tensor block(Shape{rows, positions});
+    im2col(x.data(), geom, block.data());
+
+    const std::int64_t ld = 3 * positions + 1;
+    const std::int64_t offset = positions + 1;
+    constexpr float kSentinel = -1234.5f;
+    Tensor wide(Shape{rows, ld});
+    wide.fill(kSentinel);
+    im2col(x.data(), geom, wide.data() + offset, ld);
+    for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t j = 0; j < ld; ++j) {
+            const float got = wide.data()[r * ld + j];
+            if (j >= offset && j < offset + positions) {
+                ASSERT_EQ(got, block.data()[r * positions + (j - offset)])
+                    << "row " << r << " col " << j;
+            } else {
+                ASSERT_EQ(got, kSentinel) << "wrote outside its block: row " << r << " col " << j;
+            }
+        }
+    }
+}
+
 /// col2im must be the adjoint of im2col: <im2col(x), y> == <x, col2im(y)>.
 TEST(Im2col, Col2imIsAdjoint) {
     ConvGeometry geom;

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -164,6 +166,93 @@ TEST(Kernel, PackedUnpackedAndParallelAreBitIdentical) {
     EXPECT_EQ(serial, packed_a);
     EXPECT_EQ(serial, packed_b);
     EXPECT_EQ(serial, packed_both);
+}
+
+// ------------------------------------------------------------ narrow tile
+
+/// Narrow problems (n <= kNarrowN) run their own micro-kernel. Its contract
+/// is bit-identity with the 6x16 tile, checked here by embedding the same
+/// B columns and starting C values in a kNR + 1 wide product (which the
+/// 6x16 tile runs) and comparing those columns. k spans three kKC slabs so
+/// the slab merge is covered; beta != 0 reads C, beta == 0 must overwrite
+/// NaN.
+class NarrowTile
+    : public ::testing::TestWithParam<std::tuple<std::int64_t /*m*/, std::int64_t /*n*/>> {};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, NarrowTile,
+                         ::testing::Combine(::testing::Values(1, 5, 6, 7, 13, 512),
+                                            ::testing::Range<std::int64_t>(1,
+                                                                           kernel::kNarrowN + 1)));
+
+TEST_P(NarrowTile, BitIdenticalToTheWideTile) {
+    const auto [m, n] = GetParam();
+    const std::int64_t k = 2 * kernel::kKC + 89;
+    const std::int64_t wide = kernel::kNR + 1;
+    Rng rng(0x9A770 + static_cast<std::uint64_t>(m * 16 + n));
+    const Tensor a = Tensor::randn(Shape{m, k}, rng);
+    const Tensor b = Tensor::randn(Shape{k, n}, rng);
+    Tensor bt(Shape{n, k});
+    for (std::int64_t p = 0; p < k; ++p) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            bt.data()[j * k + p] = b.data()[p * n + j];
+        }
+    }
+    const kernel::PackedMatrix pa = kernel::pack_a(a.data(), k, false, m, k);
+
+    for (const float beta : {0.5f, 0.0f}) {
+        SCOPED_TRACE("beta " + std::to_string(beta));
+        const float alpha = 1.25f;
+        Tensor c0 = Tensor::randn(Shape{m, n}, rng);
+        if (beta == 0.0f) {
+            c0.fill(std::nanf(""));
+        }
+
+        Tensor b_wide = Tensor::randn(Shape{k, wide}, rng);
+        Tensor c_wide = Tensor::randn(Shape{m, wide}, rng);
+        for (std::int64_t j = 0; j < n; ++j) {
+            for (std::int64_t p = 0; p < k; ++p) {
+                b_wide.data()[p * wide + j] = b.data()[p * n + j];
+            }
+            for (std::int64_t i = 0; i < m; ++i) {
+                c_wide.data()[i * wide + j] = c0.data()[i * n + j];
+            }
+        }
+        kernel::gemm_blocked(m, wide, k, a.data(), k, false, b_wide.data(), wide, false,
+                             c_wide.data(), wide, alpha, beta, /*parallel=*/false);
+        std::vector<float> expected;
+        for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+                expected.push_back(c_wide.data()[i * wide + j]);
+            }
+        }
+        for (std::int64_t i = 0; i < m * n; ++i) {
+            ASSERT_FALSE(std::isnan(expected[static_cast<std::size_t>(i)])) << "element " << i;
+        }
+
+        const auto run = [&](auto&& fn) {
+            Tensor c = c0.clone();
+            fn(c);
+            return c.to_vector();
+        };
+        for (const bool parallel : {false, true}) {
+            SCOPED_TRACE(parallel ? "parallel" : "serial");
+            EXPECT_EQ(expected, run([&](Tensor& c) {
+                          kernel::gemm_blocked(m, n, k, a.data(), k, false, b.data(), n, false,
+                                               c.data(), n, alpha, beta, parallel);
+                      }));
+            EXPECT_EQ(expected, run([&](Tensor& c) {
+                          kernel::gemm_blocked(m, n, k, a.data(), k, false, bt.data(), k, true,
+                                               c.data(), n, alpha, beta, parallel);
+                      }));
+            EXPECT_EQ(expected, run([&](Tensor& c) {
+                          kernel::gemm_packed_a(pa, b.data(), n, false, n, c.data(), n, alpha,
+                                                beta, parallel);
+                      }));
+        }
+        EXPECT_EQ(expected, run([&](Tensor& c) { gemm(a, false, b, false, c, alpha, beta); }));
+        EXPECT_EQ(expected,
+                  run([&](Tensor& c) { gemm_serial(a, false, b, false, c, alpha, beta); }));
+    }
 }
 
 TEST(Kernel, TensorGemmAndGemmSerialAreBitIdentical) {
