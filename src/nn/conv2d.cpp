@@ -75,7 +75,9 @@ ConvGeometry Conv2d::geometry_for(const Tensor& input) const {
 namespace {
 
 /// `buffer` with room for at least `floats` floats. Forward scratch is
-/// thread-local and only ever grows, so steady-state forwards allocate none.
+/// thread-local and only ever grows, so steady-state forwards allocate none;
+/// each thread keeps the largest patch matrix (and folded output) it has
+/// needed resident for its lifetime.
 float* grown(std::vector<float>& buffer, std::int64_t floats) {
     if (buffer.size() < static_cast<std::size_t>(floats)) {
         buffer.resize(static_cast<std::size_t>(floats));
@@ -129,7 +131,10 @@ Tensor Conv2d::forward(const Tensor& input) {
             const std::int64_t count = std::min(group, batch - first);
             const std::int64_t cols = count * positions;
             float* col = grown(col_scratch, patch * cols);
-            float* out = grown(out_scratch, out_channels_ * cols);
+            // A lone image's C[O, P] already is its NCHW plane: the GEMM
+            // writes it in place and only folded groups need scattering.
+            float* const first_dst = output.data() + first * out_plane;
+            float* out = count == 1 ? first_dst : grown(out_scratch, out_channels_ * cols);
             for (std::int64_t b = 0; b < count; ++b) {
                 im2col(input.data() + (first + b) * in_plane, geom, col + b * positions, cols);
             }
@@ -143,7 +148,7 @@ Tensor Conv2d::forward(const Tensor& input) {
             }
             // Scatter C[O, count * P] back to NCHW, adding the bias.
             for (std::int64_t b = 0; b < count; ++b) {
-                float* dst = output.data() + (first + b) * out_plane;
+                float* dst = first_dst + b * out_plane;
                 for (std::int64_t c = 0; c < out_channels_; ++c) {
                     const float* src = out + c * cols + b * positions;
                     float* dst_row = dst + c * positions;
@@ -152,7 +157,7 @@ Tensor Conv2d::forward(const Tensor& input) {
                         for (std::int64_t p = 0; p < positions; ++p) {
                             dst_row[p] = src[p] + bc;
                         }
-                    } else {
+                    } else if (src != dst_row) {
                         std::copy(src, src + positions, dst_row);
                     }
                 }

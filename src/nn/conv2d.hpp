@@ -10,8 +10,12 @@
 // per-image lowering. Groups run in parallel_for, or, when a batch of
 // several images is a single group, that GEMM splits its strips over the
 // pool; every output is bit-identical to a loop of batch-1 forwards (see
-// gemm_kernel.hpp's determinism contract). Backward lowers one image at a
-// time.
+// gemm_kernel.hpp's determinism contract). A group of one image writes its
+// GEMM output straight into the output tensor. The patch matrix and a
+// folded group's GEMM output live in thread-local scratch that only grows:
+// each thread that ran a forward keeps its largest one resident for its
+// lifetime (at most patch x max(out_channels, positions) floats). Backward
+// lowers one image at a time.
 
 #include "nn/layer.hpp"
 #include "tensor/gemm_kernel.hpp"

@@ -121,143 +121,66 @@ void micro_neon(std::int64_t kc, const float* ENS_RESTRICT ap, const float* ENS_
 }
 #endif  // ENS_KERNEL_NEON
 
-// ------------------------------------------------------ narrow micro-kernels
+// ------------------------------------------------------- narrow micro-kernel
 //
 // For n <= kNarrowN the 6x16 tile wastes most of its lanes on B's zero
-// padding (n = 4 fills a quarter of it). The narrow kernels turn the tile
+// padding (n = 4 fills a quarter of it). The narrow kernel turns the tile
 // around: vectors run along m over the same packed A strips, and each of
-// up to kNarrowCols B columns is broadcast per pass. Two strips go through
-// each call (ap1 may equal ap0 for a lone strip; acc1 is then discarded),
-// nr columns are computed in passes of kNarrowCols, and the results land
-// in the same kMR x kNR acc layout gemm_packed's write_tile reads. Every C
-// element gets the same FMA (or mul + add) chain in the same k order as in
-// the 6x16 kernel of the same ISA, so the two paths are bit-identical.
+// the kNarrowN B columns is broadcast. Two strips go through each call
+// (ap1 may equal ap0 for a lone strip; acc1 is then discarded), and the
+// results land in the same kMR x kNR acc layout gemm_packed's write_tile
+// reads. Every C element gets the same FMA chain in the same k order as in
+// micro_avx2, so the two paths are bit-identical. Only AVX2 has one; on
+// other ISAs narrow problems run the 6x16 tile.
 
 using NarrowFn = void (*)(std::int64_t kc, const float* ENS_RESTRICT ap0,
                           const float* ENS_RESTRICT ap1, const float* ENS_RESTRICT bp,
-                          std::int64_t nr, float* ENS_RESTRICT acc0, float* ENS_RESTRICT acc1);
-
-constexpr std::int64_t kNarrowCols = 4;
-
-void narrow_portable(std::int64_t kc, const float* ENS_RESTRICT ap0,
-                     const float* ENS_RESTRICT ap1, const float* ENS_RESTRICT bp,
-                     std::int64_t nr, float* ENS_RESTRICT acc0, float* ENS_RESTRICT acc1) {
-    for (std::int64_t j0 = 0; j0 < nr; j0 += kNarrowCols) {
-        float t0[kNarrowCols][kMR] = {};
-        float t1[kNarrowCols][kMR] = {};
-        for (std::int64_t p = 0; p < kc; ++p) {
-            const float* ENS_RESTRICT a0 = ap0 + p * kMR;
-            const float* ENS_RESTRICT a1 = ap1 + p * kMR;
-            const float* ENS_RESTRICT b = bp + p * kNR + j0;
-            for (int q = 0; q < kNarrowCols; ++q) {
-                const float bv = b[q];
-                for (int i = 0; i < kMR; ++i) {
-                    t0[q][i] += a0[i] * bv;
-                    t1[q][i] += a1[i] * bv;
-                }
-            }
-        }
-        for (int q = 0; q < kNarrowCols; ++q) {
-            for (int i = 0; i < kMR; ++i) {
-                acc0[i * kNR + j0 + q] = t0[q][i];
-                acc1[i * kNR + j0 + q] = t1[q][i];
-            }
-        }
-    }
-}
+                          float* ENS_RESTRICT acc0, float* ENS_RESTRICT acc1);
 
 #if defined(ENS_KERNEL_X86)
 __attribute__((target("avx2,fma"))) void narrow_avx2(std::int64_t kc,
                                                      const float* ENS_RESTRICT ap0,
                                                      const float* ENS_RESTRICT ap1,
                                                      const float* ENS_RESTRICT bp,
-                                                     std::int64_t nr, float* ENS_RESTRICT acc0,
+                                                     float* ENS_RESTRICT acc0,
                                                      float* ENS_RESTRICT acc1) {
     // A strip column is kMR = 6 floats: a masked 6-lane load keeps the
     // read inside the strip. 2 strips x 4 columns = eight accumulators.
     const __m256i mask = _mm256_setr_epi32(-1, -1, -1, -1, -1, -1, 0, 0);
-    for (std::int64_t j0 = 0; j0 < nr; j0 += kNarrowCols) {
-        __m256 c0[kNarrowCols];
-        __m256 c1[kNarrowCols];
-        for (int q = 0; q < kNarrowCols; ++q) {
-            c0[q] = _mm256_setzero_ps();
-            c1[q] = _mm256_setzero_ps();
+    __m256 c0[kNarrowN];
+    __m256 c1[kNarrowN];
+    for (int q = 0; q < kNarrowN; ++q) {
+        c0[q] = _mm256_setzero_ps();
+        c1[q] = _mm256_setzero_ps();
+    }
+    for (std::int64_t p = 0; p < kc; ++p) {
+        const __m256 av0 = _mm256_maskload_ps(ap0, mask);
+        const __m256 av1 = _mm256_maskload_ps(ap1, mask);
+        for (int q = 0; q < kNarrowN; ++q) {
+            const __m256 bv = _mm256_broadcast_ss(bp + q);
+            c0[q] = _mm256_fmadd_ps(av0, bv, c0[q]);
+            c1[q] = _mm256_fmadd_ps(av1, bv, c1[q]);
         }
-        const float* a0 = ap0;
-        const float* a1 = ap1;
-        const float* b = bp + j0;
-        for (std::int64_t p = 0; p < kc; ++p) {
-            const __m256 av0 = _mm256_maskload_ps(a0, mask);
-            const __m256 av1 = _mm256_maskload_ps(a1, mask);
-            for (int q = 0; q < kNarrowCols; ++q) {
-                const __m256 bv = _mm256_broadcast_ss(b + q);
-                c0[q] = _mm256_fmadd_ps(av0, bv, c0[q]);
-                c1[q] = _mm256_fmadd_ps(av1, bv, c1[q]);
-            }
-            a0 += kMR;
-            a1 += kMR;
-            b += kNR;
-        }
-        alignas(32) float lanes0[8];
-        alignas(32) float lanes1[8];
-        for (int q = 0; q < kNarrowCols; ++q) {
-            _mm256_store_ps(lanes0, c0[q]);
-            _mm256_store_ps(lanes1, c1[q]);
-            for (int i = 0; i < kMR; ++i) {
-                acc0[i * kNR + j0 + q] = lanes0[i];
-                acc1[i * kNR + j0 + q] = lanes1[i];
-            }
+        ap0 += kMR;
+        ap1 += kMR;
+        bp += kNR;
+    }
+    alignas(32) float lanes0[8];
+    alignas(32) float lanes1[8];
+    for (int q = 0; q < kNarrowN; ++q) {
+        _mm256_store_ps(lanes0, c0[q]);
+        _mm256_store_ps(lanes1, c1[q]);
+        for (int i = 0; i < kMR; ++i) {
+            acc0[i * kNR + q] = lanes0[i];
+            acc1[i * kNR + q] = lanes1[i];
         }
     }
 }
 #endif  // ENS_KERNEL_X86
 
-#if defined(ENS_KERNEL_NEON)
-void narrow_neon(std::int64_t kc, const float* ENS_RESTRICT ap0, const float* ENS_RESTRICT ap1,
-                 const float* ENS_RESTRICT bp, std::int64_t nr, float* ENS_RESTRICT acc0,
-                 float* ENS_RESTRICT acc1) {
-    // A strip column (6 floats) = one q-register + one d-register.
-    for (std::int64_t j0 = 0; j0 < nr; j0 += kNarrowCols) {
-        float32x4_t lo0[kNarrowCols], lo1[kNarrowCols];
-        float32x2_t hi0[kNarrowCols], hi1[kNarrowCols];
-        for (int q = 0; q < kNarrowCols; ++q) {
-            lo0[q] = lo1[q] = vdupq_n_f32(0.0f);
-            hi0[q] = hi1[q] = vdup_n_f32(0.0f);
-        }
-        for (std::int64_t p = 0; p < kc; ++p) {
-            const float* a0 = ap0 + p * kMR;
-            const float* a1 = ap1 + p * kMR;
-            const float32x4_t a0_lo = vld1q_f32(a0);
-            const float32x2_t a0_hi = vld1_f32(a0 + 4);
-            const float32x4_t a1_lo = vld1q_f32(a1);
-            const float32x2_t a1_hi = vld1_f32(a1 + 4);
-            const float* b = bp + p * kNR + j0;
-            for (int q = 0; q < kNarrowCols; ++q) {
-                lo0[q] = vfmaq_f32(lo0[q], a0_lo, vdupq_n_f32(b[q]));
-                hi0[q] = vfma_f32(hi0[q], a0_hi, vdup_n_f32(b[q]));
-                lo1[q] = vfmaq_f32(lo1[q], a1_lo, vdupq_n_f32(b[q]));
-                hi1[q] = vfma_f32(hi1[q], a1_hi, vdup_n_f32(b[q]));
-            }
-        }
-        float lanes0[kMR];
-        float lanes1[kMR];
-        for (int q = 0; q < kNarrowCols; ++q) {
-            vst1q_f32(lanes0, lo0[q]);
-            vst1_f32(lanes0 + 4, hi0[q]);
-            vst1q_f32(lanes1, lo1[q]);
-            vst1_f32(lanes1 + 4, hi1[q]);
-            for (int i = 0; i < kMR; ++i) {
-                acc0[i * kNR + j0 + q] = lanes0[i];
-                acc1[i * kNR + j0 + q] = lanes1[i];
-            }
-        }
-    }
-}
-#endif  // ENS_KERNEL_NEON
-
 struct Dispatch {
     MicroFn fn = micro_portable;
-    NarrowFn narrow = narrow_portable;
+    NarrowFn narrow = nullptr;  // no narrow tile: run the 6x16 one
     const char* name = "portable";
 };
 
@@ -274,7 +197,6 @@ const Dispatch& dispatch() {
 #endif
 #if defined(ENS_KERNEL_NEON)
         d.fn = micro_neon;
-        d.narrow = narrow_neon;
         d.name = "neon";
         return d;
 #endif
@@ -468,7 +390,7 @@ void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::in
                 for (std::int64_t is = lo; is < hi; is += 2) {
                     const bool pair = is + 1 < hi;
                     const float* a0 = aslab + is * kMR * kc;
-                    narrow(kc, a0, pair ? a0 + kMR * kc : a0, bslab, n, acc, acc1);
+                    narrow(kc, a0, pair ? a0 + kMR * kc : a0, bslab, acc, acc1);
                     write_tile(c + is * kMR * ldc, ldc, acc, std::min(kMR, m - is * kMR), n,
                                alpha, beta, first_slab);
                     if (pair) {

@@ -20,12 +20,12 @@
 //     edge handling costs dead lanes, never a scalar loop.
 //   - narrow tile: when n <= kNarrowN (batch-1 stage-4 convs have n = 4
 //     output positions) most of the 16-wide tile would multiply B's zero
-//     padding. gemm_packed then runs a second micro-kernel over the SAME
-//     packed panels: vectors along m (AVX2: a masked 6-lane load per A
-//     strip, two strips per call; NEON: a q- plus a d-register per strip;
-//     portable: the same loops in plain C++), broadcasting up to 4 B
-//     columns per pass, so a narrow GEMM streams its weights at close to
-//     memory speed instead of at a quarter of the tile's compute rate.
+//     padding. On AVX2, gemm_packed then runs a second micro-kernel over
+//     the SAME packed panels: vectors along m (a masked 6-lane load per A
+//     strip, two strips per call), broadcasting the 4 B columns, so a
+//     narrow GEMM streams its weights at close to memory speed instead of
+//     at a quarter of the tile's compute rate. NEON and portable builds
+//     run narrow problems on their 6x16 tile.
 //   - cache blocking: the k dimension is cut into kKC-deep slabs (B panel
 //     strip of kKC x kNR stays L1-resident across the i sweep) and the m
 //     dimension into kMC-row blocks (an MC x KC slab of packed A stays
@@ -46,8 +46,8 @@
 // bit-parity serving tests interchangeably. Stronger still, element
 // C[i][j] depends only on row i of op(A), column j of op(B), k, alpha,
 // beta and its own old value: the narrow tile runs the same per-element
-// FMA chain in the same k order, with the same slab merge, as the 6x16
-// tile of its ISA, and no element sees its neighbours. So a column block
+// FMA chain in the same k order, with the same slab merge, as the AVX2
+// 6x16 tile, and no element sees its neighbours. So a column block
 // of a wider product is bit-identical to the narrower product on its own,
 // whichever tile ran — the property that lets nn::Conv2d fold several
 // images into one GEMM (n = images x positions) without changing a bit.
@@ -89,10 +89,11 @@ inline constexpr std::int64_t kNR = 16;
 inline constexpr std::int64_t kKC = 256;
 inline constexpr std::int64_t kMC = 72;  // multiple of kMR
 
-/// Narrow tile: gemm_packed runs problems with n <= kNarrowN (one B strip,
-/// at most half of it live) through a second micro-kernel that vectorizes
-/// along m instead of n — see the header comment.
-inline constexpr std::int64_t kNarrowN = 8;
+/// Narrow tile: on AVX2, gemm_packed runs problems with n <= kNarrowN
+/// (one B strip, at most a quarter of it live) through a second
+/// micro-kernel that vectorizes along m instead of n — see the header
+/// comment.
+inline constexpr std::int64_t kNarrowN = 4;
 
 /// Name of the micro-kernel the runtime dispatcher selected for this
 /// process: "avx2", "neon" or "portable". Stable for the process lifetime.

@@ -84,7 +84,10 @@ INSTANTIATE_TEST_SUITE_P(
                       FoldCase{8, 12, 3, 1, 1, 2},    // 4 positions, g = 3
                       FoldCase{16, 24, 1, 2, 0, 4},   // 1x1 projection, 4 positions, g = 6
                       FoldCase{8, 16, 3, 1, 1, 1},    // 1 position, g = 16
-                      FoldCase{4, 3, 3, 2, 1, 2}));   // 1 position, g = 3
+                      FoldCase{4, 3, 3, 2, 1, 2},     // 1 position, g = 3
+                      // 4 positions, g = batch: one group large enough that
+                      // its GEMM splits its row strips over the pool.
+                      FoldCase{64, 512, 3, 1, 1, 2}));
 
 TEST_P(Conv2dFold, BatchForwardIsBitIdenticalToPerImageForwards) {
     const FoldCase p = GetParam();
