@@ -44,12 +44,17 @@ std::vector<ShapeSpec> shapes_for(ens::bench::Scale scale) {
     // Body shapes: width-w ResNet body conv3x3 at its wire feature map
     // ([w, 16, 16] at the paper's CIFAR split) and the tail Linear over a
     // coalesced batch. Square shapes anchor the scaling curve; 256^3 is the
-    // acceptance gate and survives every scale. The stage-4 rows are the
-    // paper-geometry 512-channel conv at 2x2 positions: batch 1 (n = 4, the
-    // narrow tile) and a batch of 4 folded into one GEMM (n = 16).
+    // acceptance gate and survives every scale. One row per paper-geometry
+    // body stage, as Conv2d folds it (group = out_channels / positions
+    // images per GEMM): stage 1 (64 ch, 16x16) runs one image per GEMM;
+    // stage 2 (128 ch, 8x8) folds 2 images and stage 3 (256 ch, 4x4) folds
+    // 4; stage 4 (512 ch, 2x2) at batch 1 (n = 4, the narrow tile) and a
+    // batch of 4 folded into one GEMM (n = 16).
     std::vector<ShapeSpec> shapes = {
         {"conv3x3-w8", 8, 256, 72},        // [8, 8*9] @ [72, 16*16]
         {"conv3x3-w64", 64, 256, 576},     // [64, 64*9] @ [576, 16*16]
+        {"conv3x3-w128-8x8-b2", 128, 128, 1152},  // [128, 128*9] @ [1152, 2*8*8]
+        {"conv3x3-w256-4x4-b4", 256, 64, 2304},   // [256, 256*9] @ [2304, 4*4*4]
         {"conv3x3-w512-2x2", 512, 4, 4608},      // [512, 512*9] @ [4608, 2*2]
         {"conv3x3-w512-2x2-b4", 512, 16, 4608},  // [512, 512*9] @ [4608, 4*2*2]
         {"tail-linear", 32, 10, 640},      // [batch, 10*width] @ W^T

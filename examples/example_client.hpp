@@ -171,9 +171,9 @@ inline serve::ClientArtifacts resolve_client_artifacts(ArgParser& args,
                                                        split::WireFormat& wire) {
     serve::ClientArtifacts client;
     if (!bundle_dir.empty()) {
-        for (const std::string flag : {std::string("seed"), std::string("width"),
-                                       std::string("classes"), std::string(count_flag),
-                                       std::string("select"), std::string("selector-seed")}) {
+        for (const std::string& flag : {std::string("seed"), std::string("width"),
+                                        std::string("classes"), std::string(count_flag),
+                                        std::string("select"), std::string("selector-seed")}) {
             if (args.has(flag)) {
                 std::fprintf(stderr,
                              "--%s conflicts with --bundle (the bundle fixes the deployment)\n",

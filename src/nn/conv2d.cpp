@@ -176,6 +176,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     const ConvGeometry geom = geometry_for(cached_input_);
     const std::int64_t batch = cached_input_.dim(0);
     const std::int64_t positions = geom.out_positions();
+    const std::int64_t patch = geom.patch_size();
     ENS_REQUIRE(grad_output.rank() == 4 && grad_output.dim(0) == batch &&
                     grad_output.dim(1) == out_channels_ && grad_output.dim(2) == geom.out_h() &&
                     grad_output.dim(3) == geom.out_w(),
@@ -192,39 +193,38 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     std::mutex accum_mutex;
     std::map<std::size_t, std::pair<Tensor, Tensor>> partials;
     parallel_for(0, static_cast<std::size_t>(batch), [&](std::size_t lo, std::size_t hi) {
-        Tensor col(Shape{geom.patch_size(), positions});
-        Tensor dcol(Shape{geom.patch_size(), positions});
+        Tensor col(Shape{patch, positions});
+        Tensor dcol(Shape{patch, positions});
         Tensor local_wgrad = want_wgrad ? Tensor::zeros(weight_.value.shape()) : Tensor();
         Tensor local_bgrad =
             (want_wgrad && with_bias_) ? Tensor::zeros(Shape{out_channels_}) : Tensor();
 
         for (std::size_t n = lo; n < hi; ++n) {
             const float* x_n = cached_input_.data() + static_cast<std::int64_t>(n) * in_plane;
-            const Tensor dy_mat =
-                Tensor::from_vector(Shape{out_channels_, positions},
-                                    std::vector<float>(
-                                        grad_output.data() + static_cast<std::int64_t>(n) * out_plane,
-                                        grad_output.data() +
-                                            static_cast<std::int64_t>(n + 1) * out_plane));
+            // dY_n [O, P], read in place.
+            const float* dy = grad_output.data() + static_cast<std::int64_t>(n) * out_plane;
 
             if (want_wgrad) {
                 // dW += dY_n @ col_n^T  (recompute col; cheaper than caching
                 // the whole batch of patch matrices)
                 im2col(x_n, geom, col.data());
-                gemm_serial(dy_mat, false, col, true, local_wgrad, 1.0f, 1.0f);
+                kernel::gemm_blocked(out_channels_, patch, positions, dy, positions,
+                                     /*trans_a=*/false, col.data(), positions, /*trans_b=*/true,
+                                     local_wgrad.data(), patch, 1.0f, 1.0f, /*parallel=*/false);
                 if (with_bias_) {
-                    const float* g = dy_mat.data();
                     float* db = local_bgrad.data();
                     for (std::int64_t c = 0; c < out_channels_; ++c) {
                         for (std::int64_t p = 0; p < positions; ++p) {
-                            db[c] += g[c * positions + p];
+                            db[c] += dy[c * positions + p];
                         }
                     }
                 }
             }
 
             // dcol = W^T @ dY_n ; scatter back to the input gradient.
-            gemm_serial(weight_.value, true, dy_mat, false, dcol);
+            kernel::gemm_blocked(patch, positions, out_channels_, weight_.value.data(), patch,
+                                 /*trans_a=*/true, dy, positions, /*trans_b=*/false, dcol.data(),
+                                 positions, 1.0f, 0.0f, /*parallel=*/false);
             col2im(dcol.data(), geom, grad_input.data() + static_cast<std::int64_t>(n) * in_plane);
         }
 

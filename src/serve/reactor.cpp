@@ -108,7 +108,7 @@ public:
             // reported unconditionally, which is exactly the "paused but
             // still supervised" state a window-full connection needs.
             epoll_event ev{};
-            ev.events = enabled ? EPOLLIN : 0;
+            ev.events = enabled ? static_cast<std::uint32_t>(EPOLLIN) : std::uint32_t{0};
             ev.data.fd = fd;
             (void)::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
         }

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
@@ -28,19 +32,41 @@ constexpr std::int64_t kParallelMinFlops = 1 << 20;
 
 inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-// ------------------------------------------------------------ micro-kernels
+// ------------------------------------------------------------------ tiles
 //
-// Every micro-kernel computes acc[kMR][kNR] = op(A)-strip @ op(B)-strip
-// over one kc-deep slab, reading the packed panels at stride 1: ap is
-// kc steps of kMR floats (one column of the A strip each), bp is kc steps
-// of kNR floats (one row of the B strip each). acc is kNR-strided,
-// 64-byte aligned, overwritten (not accumulated — the driver merges slabs
-// into C so the slab order, and therefore the rounding, is fixed).
+// Every tile has one signature: two A strips against one B strip over one
+// kc-deep slab, acc0 = strip ap0 @ bp and acc1 = strip ap1 @ bp. The
+// panels are read at stride 1: ap0/ap1 are kc steps of kMR floats (one
+// column of the A strip each), bp is kc steps of kNR floats (one row of the
+// B strip each). ap1 == ap0 marks a lone strip; acc1 is then scratch
+// run_tile discards. acc0/acc1 are kNR-strided, 64-byte aligned, overwritten
+// (not accumulated — run_tile merges slabs into C so the slab order, and
+// therefore the rounding, is fixed).
+//
+// Accumulators are named locals, never arrays: GCC 12 -O3 keeps a
+// `__m256 c[kMR]` array in registers but also stores every element to the
+// stack on each k step (12 vmovaps per step in the AVX2 6x16 tile), which
+// halves the tile's rate.
 
-using MicroFn = void (*)(std::int64_t kc, const float* ENS_RESTRICT ap,
+using TileFn = void (*)(std::int64_t kc, const float* ENS_RESTRICT ap0,
+                        const float* ENS_RESTRICT ap1, const float* ENS_RESTRICT bp,
+                        float* ENS_RESTRICT acc0, float* ENS_RESTRICT acc1);
+
+using StripFn = void (*)(std::int64_t kc, const float* ENS_RESTRICT ap,
                          const float* ENS_RESTRICT bp, float* ENS_RESTRICT acc);
 
-void micro_portable(std::int64_t kc, const float* ENS_RESTRICT ap, const float* ENS_RESTRICT bp,
+/// A one-strip kMR x kNR kernel run as a tile: once per strip of the pair.
+template <StripFn strip>
+void strip_pair(std::int64_t kc, const float* ENS_RESTRICT ap0, const float* ENS_RESTRICT ap1,
+                const float* ENS_RESTRICT bp, float* ENS_RESTRICT acc0,
+                float* ENS_RESTRICT acc1) {
+    strip(kc, ap0, bp, acc0);
+    if (ap1 != ap0) {
+        strip(kc, ap1, bp, acc1);
+    }
+}
+
+void strip_portable(std::int64_t kc, const float* ENS_RESTRICT ap, const float* ENS_RESTRICT bp,
                     float* ENS_RESTRICT acc) {
     float tile[kMR * kNR] = {};
     for (std::int64_t p = 0; p < kc; ++p) {
@@ -58,38 +84,163 @@ void micro_portable(std::int64_t kc, const float* ENS_RESTRICT ap, const float* 
 }
 
 #if defined(ENS_KERNEL_X86)
-__attribute__((target("avx2,fma"))) void micro_avx2(std::int64_t kc,
+__attribute__((target("avx2,fma"))) void strip_avx2(std::int64_t kc,
                                                     const float* ENS_RESTRICT ap,
                                                     const float* ENS_RESTRICT bp,
                                                     float* ENS_RESTRICT acc) {
     // 6 x 16 = twelve 8-lane accumulators + two B vectors + one broadcast,
     // exactly the 16 architectural YMM registers.
-    __m256 c_lo[kMR];
-    __m256 c_hi[kMR];
-    for (int i = 0; i < kMR; ++i) {
-        c_lo[i] = _mm256_setzero_ps();
-        c_hi[i] = _mm256_setzero_ps();
-    }
+    __m256 c0l = _mm256_setzero_ps(), c0h = _mm256_setzero_ps();
+    __m256 c1l = _mm256_setzero_ps(), c1h = _mm256_setzero_ps();
+    __m256 c2l = _mm256_setzero_ps(), c2h = _mm256_setzero_ps();
+    __m256 c3l = _mm256_setzero_ps(), c3h = _mm256_setzero_ps();
+    __m256 c4l = _mm256_setzero_ps(), c4h = _mm256_setzero_ps();
+    __m256 c5l = _mm256_setzero_ps(), c5h = _mm256_setzero_ps();
     for (std::int64_t p = 0; p < kc; ++p) {
         const __m256 b0 = _mm256_load_ps(bp);
         const __m256 b1 = _mm256_load_ps(bp + 8);
-        bp += kNR;
-        for (int i = 0; i < kMR; ++i) {
-            const __m256 av = _mm256_broadcast_ss(ap + i);
-            c_lo[i] = _mm256_fmadd_ps(av, b0, c_lo[i]);
-            c_hi[i] = _mm256_fmadd_ps(av, b1, c_hi[i]);
-        }
+        __m256 av = _mm256_broadcast_ss(ap + 0);
+        c0l = _mm256_fmadd_ps(av, b0, c0l);
+        c0h = _mm256_fmadd_ps(av, b1, c0h);
+        av = _mm256_broadcast_ss(ap + 1);
+        c1l = _mm256_fmadd_ps(av, b0, c1l);
+        c1h = _mm256_fmadd_ps(av, b1, c1h);
+        av = _mm256_broadcast_ss(ap + 2);
+        c2l = _mm256_fmadd_ps(av, b0, c2l);
+        c2h = _mm256_fmadd_ps(av, b1, c2h);
+        av = _mm256_broadcast_ss(ap + 3);
+        c3l = _mm256_fmadd_ps(av, b0, c3l);
+        c3h = _mm256_fmadd_ps(av, b1, c3h);
+        av = _mm256_broadcast_ss(ap + 4);
+        c4l = _mm256_fmadd_ps(av, b0, c4l);
+        c4h = _mm256_fmadd_ps(av, b1, c4h);
+        av = _mm256_broadcast_ss(ap + 5);
+        c5l = _mm256_fmadd_ps(av, b0, c5l);
+        c5h = _mm256_fmadd_ps(av, b1, c5h);
         ap += kMR;
+        bp += kNR;
     }
-    for (int i = 0; i < kMR; ++i) {
-        _mm256_store_ps(acc + i * kNR, c_lo[i]);
-        _mm256_store_ps(acc + i * kNR + 8, c_hi[i]);
+    _mm256_store_ps(acc + 0 * kNR, c0l);
+    _mm256_store_ps(acc + 0 * kNR + 8, c0h);
+    _mm256_store_ps(acc + 1 * kNR, c1l);
+    _mm256_store_ps(acc + 1 * kNR + 8, c1h);
+    _mm256_store_ps(acc + 2 * kNR, c2l);
+    _mm256_store_ps(acc + 2 * kNR + 8, c2h);
+    _mm256_store_ps(acc + 3 * kNR, c3l);
+    _mm256_store_ps(acc + 3 * kNR + 8, c3h);
+    _mm256_store_ps(acc + 4 * kNR, c4l);
+    _mm256_store_ps(acc + 4 * kNR + 8, c4h);
+    _mm256_store_ps(acc + 5 * kNR, c5l);
+    _mm256_store_ps(acc + 5 * kNR + 8, c5h);
+}
+
+// For n <= kNarrowN the 6x16 tile wastes most of its lanes on B's zero
+// padding (n = 4 fills a quarter of it). The narrow tile turns it around:
+// vectors run along m over the same packed A strips, and each of the
+// kNarrowN B columns is broadcast. Its results land in the same acc layout
+// (columns 0..kNarrowN-1) write_tile reads.
+__attribute__((target("avx2,fma"))) void narrow_avx2(std::int64_t kc,
+                                                     const float* ENS_RESTRICT ap0,
+                                                     const float* ENS_RESTRICT ap1,
+                                                     const float* ENS_RESTRICT bp,
+                                                     float* ENS_RESTRICT acc0,
+                                                     float* ENS_RESTRICT acc1) {
+    // A strip column is kMR = 6 floats: a masked 6-lane load keeps the
+    // read inside the strip. 2 strips x 4 columns = eight accumulators.
+    static_assert(kNarrowN == 4, "narrow_avx2 names one accumulator per column");
+    const __m256i mask = _mm256_setr_epi32(-1, -1, -1, -1, -1, -1, 0, 0);
+    __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+    __m256 c02 = _mm256_setzero_ps(), c03 = _mm256_setzero_ps();
+    __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+    __m256 c12 = _mm256_setzero_ps(), c13 = _mm256_setzero_ps();
+    for (std::int64_t p = 0; p < kc; ++p) {
+        const __m256 av0 = _mm256_maskload_ps(ap0, mask);
+        const __m256 av1 = _mm256_maskload_ps(ap1, mask);
+        __m256 bv = _mm256_broadcast_ss(bp + 0);
+        c00 = _mm256_fmadd_ps(av0, bv, c00);
+        c10 = _mm256_fmadd_ps(av1, bv, c10);
+        bv = _mm256_broadcast_ss(bp + 1);
+        c01 = _mm256_fmadd_ps(av0, bv, c01);
+        c11 = _mm256_fmadd_ps(av1, bv, c11);
+        bv = _mm256_broadcast_ss(bp + 2);
+        c02 = _mm256_fmadd_ps(av0, bv, c02);
+        c12 = _mm256_fmadd_ps(av1, bv, c12);
+        bv = _mm256_broadcast_ss(bp + 3);
+        c03 = _mm256_fmadd_ps(av0, bv, c03);
+        c13 = _mm256_fmadd_ps(av1, bv, c13);
+        ap0 += kMR;
+        ap1 += kMR;
+        bp += kNR;
+    }
+    alignas(32) float lanes[2][kNarrowN][8];
+    _mm256_store_ps(lanes[0][0], c00);
+    _mm256_store_ps(lanes[0][1], c01);
+    _mm256_store_ps(lanes[0][2], c02);
+    _mm256_store_ps(lanes[0][3], c03);
+    _mm256_store_ps(lanes[1][0], c10);
+    _mm256_store_ps(lanes[1][1], c11);
+    _mm256_store_ps(lanes[1][2], c12);
+    _mm256_store_ps(lanes[1][3], c13);
+    for (int q = 0; q < kNarrowN; ++q) {
+        for (int i = 0; i < kMR; ++i) {
+            acc0[i * kNR + q] = lanes[0][q][i];
+            acc1[i * kNR + q] = lanes[1][q][i];
+        }
     }
 }
+
+// 12 x 16: both strips of the pair at once, one zmm accumulator per row
+// (12 of AVX-512's 32 registers), one B vector per k step, and the A
+// broadcasts folded into the FMAs' memory operands.
+__attribute__((target("avx512f"))) void tile_avx512(std::int64_t kc,
+                                                    const float* ENS_RESTRICT ap0,
+                                                    const float* ENS_RESTRICT ap1,
+                                                    const float* ENS_RESTRICT bp,
+                                                    float* ENS_RESTRICT acc0,
+                                                    float* ENS_RESTRICT acc1) {
+    static_assert(kNR == 16, "tile_avx512 holds one B row in one zmm");
+    __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps(), c02 = _mm512_setzero_ps();
+    __m512 c03 = _mm512_setzero_ps(), c04 = _mm512_setzero_ps(), c05 = _mm512_setzero_ps();
+    __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps(), c12 = _mm512_setzero_ps();
+    __m512 c13 = _mm512_setzero_ps(), c14 = _mm512_setzero_ps(), c15 = _mm512_setzero_ps();
+    for (std::int64_t p = 0; p < kc; ++p) {
+        const __m512 b = _mm512_load_ps(bp);
+        c00 = _mm512_fmadd_ps(_mm512_set1_ps(ap0[0]), b, c00);
+        c01 = _mm512_fmadd_ps(_mm512_set1_ps(ap0[1]), b, c01);
+        c02 = _mm512_fmadd_ps(_mm512_set1_ps(ap0[2]), b, c02);
+        c03 = _mm512_fmadd_ps(_mm512_set1_ps(ap0[3]), b, c03);
+        c04 = _mm512_fmadd_ps(_mm512_set1_ps(ap0[4]), b, c04);
+        c05 = _mm512_fmadd_ps(_mm512_set1_ps(ap0[5]), b, c05);
+        c10 = _mm512_fmadd_ps(_mm512_set1_ps(ap1[0]), b, c10);
+        c11 = _mm512_fmadd_ps(_mm512_set1_ps(ap1[1]), b, c11);
+        c12 = _mm512_fmadd_ps(_mm512_set1_ps(ap1[2]), b, c12);
+        c13 = _mm512_fmadd_ps(_mm512_set1_ps(ap1[3]), b, c13);
+        c14 = _mm512_fmadd_ps(_mm512_set1_ps(ap1[4]), b, c14);
+        c15 = _mm512_fmadd_ps(_mm512_set1_ps(ap1[5]), b, c15);
+        ap0 += kMR;
+        ap1 += kMR;
+        bp += kNR;
+    }
+    _mm512_store_ps(acc0 + 0 * kNR, c00);
+    _mm512_store_ps(acc0 + 1 * kNR, c01);
+    _mm512_store_ps(acc0 + 2 * kNR, c02);
+    _mm512_store_ps(acc0 + 3 * kNR, c03);
+    _mm512_store_ps(acc0 + 4 * kNR, c04);
+    _mm512_store_ps(acc0 + 5 * kNR, c05);
+    _mm512_store_ps(acc1 + 0 * kNR, c10);
+    _mm512_store_ps(acc1 + 1 * kNR, c11);
+    _mm512_store_ps(acc1 + 2 * kNR, c12);
+    _mm512_store_ps(acc1 + 3 * kNR, c13);
+    _mm512_store_ps(acc1 + 4 * kNR, c14);
+    _mm512_store_ps(acc1 + 5 * kNR, c15);
+}
+
+bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"); }
+bool cpu_has_avx512() { return cpu_has_avx2() && __builtin_cpu_supports("avx512f"); }
 #endif  // ENS_KERNEL_X86
 
 #if defined(ENS_KERNEL_NEON)
-void micro_neon(std::int64_t kc, const float* ENS_RESTRICT ap, const float* ENS_RESTRICT bp,
+void strip_neon(std::int64_t kc, const float* ENS_RESTRICT ap, const float* ENS_RESTRICT bp,
                 float* ENS_RESTRICT acc) {
     // 6 x 16 = twenty-four 4-lane accumulators + four B vectors + one
     // broadcast out of AArch64's 32 SIMD registers.
@@ -121,66 +272,35 @@ void micro_neon(std::int64_t kc, const float* ENS_RESTRICT ap, const float* ENS_
 }
 #endif  // ENS_KERNEL_NEON
 
-// ------------------------------------------------------- narrow micro-kernel
-//
-// For n <= kNarrowN the 6x16 tile wastes most of its lanes on B's zero
-// padding (n = 4 fills a quarter of it). The narrow kernel turns the tile
-// around: vectors run along m over the same packed A strips, and each of
-// the kNarrowN B columns is broadcast. Two strips go through each call
-// (ap1 may equal ap0 for a lone strip; acc1 is then discarded), and the
-// results land in the same kMR x kNR acc layout gemm_packed's write_tile
-// reads. Every C element gets the same FMA chain in the same k order as in
-// micro_avx2, so the two paths are bit-identical. Only AVX2 has one; on
-// other ISAs narrow problems run the 6x16 tile.
+bool always() { return true; }
 
-using NarrowFn = void (*)(std::int64_t kc, const float* ENS_RESTRICT ap0,
-                          const float* ENS_RESTRICT ap1, const float* ENS_RESTRICT bp,
-                          float* ENS_RESTRICT acc0, float* ENS_RESTRICT acc1);
+/// Every tile compiled into this build. max_n bounds the problems a tile
+/// covers: the narrow tile reads only the first kNarrowN columns of its
+/// B strip.
+struct Tile {
+    const char* name;
+    TileFn fn;
+    std::int64_t max_n;
+    bool (*supported)();
+};
 
+constexpr std::int64_t kAnyN = std::numeric_limits<std::int64_t>::max();
+
+constexpr Tile kTiles[] = {
+    {"portable-6x16", strip_pair<strip_portable>, kAnyN, always},
 #if defined(ENS_KERNEL_X86)
-__attribute__((target("avx2,fma"))) void narrow_avx2(std::int64_t kc,
-                                                     const float* ENS_RESTRICT ap0,
-                                                     const float* ENS_RESTRICT ap1,
-                                                     const float* ENS_RESTRICT bp,
-                                                     float* ENS_RESTRICT acc0,
-                                                     float* ENS_RESTRICT acc1) {
-    // A strip column is kMR = 6 floats: a masked 6-lane load keeps the
-    // read inside the strip. 2 strips x 4 columns = eight accumulators.
-    const __m256i mask = _mm256_setr_epi32(-1, -1, -1, -1, -1, -1, 0, 0);
-    __m256 c0[kNarrowN];
-    __m256 c1[kNarrowN];
-    for (int q = 0; q < kNarrowN; ++q) {
-        c0[q] = _mm256_setzero_ps();
-        c1[q] = _mm256_setzero_ps();
-    }
-    for (std::int64_t p = 0; p < kc; ++p) {
-        const __m256 av0 = _mm256_maskload_ps(ap0, mask);
-        const __m256 av1 = _mm256_maskload_ps(ap1, mask);
-        for (int q = 0; q < kNarrowN; ++q) {
-            const __m256 bv = _mm256_broadcast_ss(bp + q);
-            c0[q] = _mm256_fmadd_ps(av0, bv, c0[q]);
-            c1[q] = _mm256_fmadd_ps(av1, bv, c1[q]);
-        }
-        ap0 += kMR;
-        ap1 += kMR;
-        bp += kNR;
-    }
-    alignas(32) float lanes0[8];
-    alignas(32) float lanes1[8];
-    for (int q = 0; q < kNarrowN; ++q) {
-        _mm256_store_ps(lanes0, c0[q]);
-        _mm256_store_ps(lanes1, c1[q]);
-        for (int i = 0; i < kMR; ++i) {
-            acc0[i * kNR + q] = lanes0[i];
-            acc1[i * kNR + q] = lanes1[i];
-        }
-    }
-}
-#endif  // ENS_KERNEL_X86
+    {"avx2-6x16", strip_pair<strip_avx2>, kAnyN, cpu_has_avx2},
+    {"avx2-narrow", narrow_avx2, kNarrowN, cpu_has_avx2},
+    {"avx512-12x16", tile_avx512, kAnyN, cpu_has_avx512},
+#endif
+#if defined(ENS_KERNEL_NEON)
+    {"neon-6x16", strip_pair<strip_neon>, kAnyN, always},
+#endif
+};
 
 struct Dispatch {
-    MicroFn fn = micro_portable;
-    NarrowFn narrow = nullptr;  // no narrow tile: run the 6x16 one
+    TileFn wide = strip_pair<strip_portable>;
+    TileFn narrow = nullptr;  // no narrow tile: n <= kNarrowN runs the wide one
     const char* name = "portable";
 };
 
@@ -188,15 +308,21 @@ const Dispatch& dispatch() {
     static const Dispatch selected = [] {
         Dispatch d;
 #if defined(ENS_KERNEL_X86)
-        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-            d.fn = micro_avx2;
+        if (cpu_has_avx512()) {
+            d.wide = tile_avx512;
+            d.narrow = narrow_avx2;
+            d.name = "avx512";
+            return d;
+        }
+        if (cpu_has_avx2()) {
+            d.wide = strip_pair<strip_avx2>;
             d.narrow = narrow_avx2;
             d.name = "avx2";
             return d;
         }
 #endif
 #if defined(ENS_KERNEL_NEON)
-        d.fn = micro_neon;
+        d.wide = strip_pair<strip_neon>;
         d.name = "neon";
         return d;
 #endif
@@ -354,62 +480,49 @@ PackedMatrix pack_b(const float* b, std::int64_t ldb, bool trans_b, std::int64_t
     return packed;
 }
 
-void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::int64_t ldc,
-                 float alpha, float beta, bool parallel) {
-    ENS_REQUIRE(a.defined() && b.defined(), "gemm_packed: undefined operand pack");
-    ENS_REQUIRE(a.is_a() && !b.is_a(), "gemm_packed: operands packed for the wrong side");
-    ENS_REQUIRE(a.cols() == b.rows(), "gemm_packed: inner dimension mismatch");
-    const std::int64_t m = a.rows();
-    const std::int64_t n = b.cols();
-    const std::int64_t k = a.cols();
-    ENS_REQUIRE(ldc >= n, "gemm_packed: ldc too small");
+namespace {
 
+/// The blocked GEMM loop over validated packs, on one tile.
+void run_tile(TileFn tile, const float* ENS_RESTRICT apack, const float* ENS_RESTRICT bpack,
+              std::int64_t m, std::int64_t n, std::int64_t k, float* c, std::int64_t ldc,
+              float alpha, float beta, bool parallel) {
     const std::int64_t strips = ceil_div(m, kMR);
+    const std::int64_t pairs = ceil_div(strips, 2);
     const std::int64_t jstrips = ceil_div(n, kNR);
     const std::int64_t strips_per_mc = kMC / kMR;
-    const float* ENS_RESTRICT apack = a.data_.get();
-    const float* ENS_RESTRICT bpack = b.data_.get();
-    const MicroFn micro = dispatch().fn;
-    const NarrowFn narrow = n <= kNarrowN ? dispatch().narrow : nullptr;
+    static_assert((kMC / kMR) % 2 == 0, "an m block must hold whole strip pairs");
 
-    // One task owns the C tiles of i-strips [lo, hi) outright and walks the
-    // k slabs in a fixed serial order, so the result is bit-identical for
-    // every chunking parallel_for picks (and for the serial path).
-    const auto run_strips = [&](std::size_t lo_s, std::size_t hi_s) {
-        const std::int64_t lo = static_cast<std::int64_t>(lo_s);
-        const std::int64_t hi = static_cast<std::int64_t>(hi_s);
-        alignas(kPanelAlignment) float acc[kMR * kNR];
+    // One task owns the C tiles of strip pairs [lo, hi) outright and walks
+    // the k slabs in a fixed serial order, so the result is bit-identical
+    // for every chunking parallel_for picks (and for the serial path). Only
+    // an odd last strip runs alone in a pair slot.
+    const auto run_pairs = [&](std::size_t lo_p, std::size_t hi_p) {
+        const std::int64_t lo = 2 * static_cast<std::int64_t>(lo_p);
+        const std::int64_t hi = std::min(strips, 2 * static_cast<std::int64_t>(hi_p));
+        alignas(kPanelAlignment) float acc0[kMR * kNR];
         alignas(kPanelAlignment) float acc1[kMR * kNR];
         for (std::int64_t k0 = 0; k0 < k; k0 += kKC) {
             const std::int64_t kc = std::min(kKC, k - k0);
             const float* aslab = apack + strips * kMR * k0;
             const float* bslab = bpack + jstrips * kNR * k0;
             const bool first_slab = (k0 == 0);
-            if (narrow != nullptr) {
-                // One B strip (n <= kNarrowN): strips go through in pairs.
-                for (std::int64_t is = lo; is < hi; is += 2) {
-                    const bool pair = is + 1 < hi;
-                    const float* a0 = aslab + is * kMR * kc;
-                    narrow(kc, a0, pair ? a0 + kMR * kc : a0, bslab, acc, acc1);
-                    write_tile(c + is * kMR * ldc, ldc, acc, std::min(kMR, m - is * kMR), n,
-                               alpha, beta, first_slab);
-                    if (pair) {
-                        write_tile(c + (is + 1) * kMR * ldc, ldc, acc1,
-                                   std::min(kMR, m - (is + 1) * kMR), n, alpha, beta,
-                                   first_slab);
-                    }
-                }
-                continue;
-            }
             for (std::int64_t ic = lo; ic < hi; ic += strips_per_mc) {
                 const std::int64_t ic_end = std::min(hi, ic + strips_per_mc);
                 for (std::int64_t js = 0; js < jstrips; ++js) {
                     const float* bpanel = bslab + js * kNR * kc;
                     const std::int64_t nr = std::min(kNR, n - js * kNR);
-                    for (std::int64_t is = ic; is < ic_end; ++is) {
-                        micro(kc, aslab + is * kMR * kc, bpanel, acc);
-                        write_tile(c + is * kMR * ldc + js * kNR, ldc, acc,
+                    float* cpanel = c + js * kNR;
+                    for (std::int64_t is = ic; is < ic_end; is += 2) {
+                        const bool pair = is + 1 < ic_end;
+                        const float* a0 = aslab + is * kMR * kc;
+                        tile(kc, a0, pair ? a0 + kMR * kc : a0, bpanel, acc0, acc1);
+                        write_tile(cpanel + is * kMR * ldc, ldc, acc0,
                                    std::min(kMR, m - is * kMR), nr, alpha, beta, first_slab);
+                        if (pair) {
+                            write_tile(cpanel + (is + 1) * kMR * ldc, ldc, acc1,
+                                       std::min(kMR, m - (is + 1) * kMR), nr, alpha, beta,
+                                       first_slab);
+                        }
                     }
                 }
             }
@@ -417,11 +530,29 @@ void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::in
     };
 
     const std::int64_t flops = 2 * m * n * k;
-    if (parallel && strips > 1 && flops >= kParallelMinFlops) {
-        parallel_for(0, static_cast<std::size_t>(strips), run_strips);
+    if (parallel && pairs > 1 && flops >= kParallelMinFlops) {
+        parallel_for(0, static_cast<std::size_t>(pairs), run_pairs);
     } else {
-        run_strips(0, static_cast<std::size_t>(strips));
+        run_pairs(0, static_cast<std::size_t>(pairs));
     }
+}
+
+void check_packs(const PackedMatrix& a, const PackedMatrix& b, std::int64_t ldc) {
+    ENS_REQUIRE(a.defined() && b.defined(), "gemm_packed: undefined operand pack");
+    ENS_REQUIRE(a.is_a() && !b.is_a(), "gemm_packed: operands packed for the wrong side");
+    ENS_REQUIRE(a.cols() == b.rows(), "gemm_packed: inner dimension mismatch");
+    ENS_REQUIRE(ldc >= b.cols(), "gemm_packed: ldc too small");
+}
+
+}  // namespace
+
+void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::int64_t ldc,
+                 float alpha, float beta, bool parallel) {
+    check_packs(a, b, ldc);
+    const Dispatch& d = dispatch();
+    const TileFn tile = b.cols() <= kNarrowN && d.narrow != nullptr ? d.narrow : d.wide;
+    run_tile(tile, a.data_.get(), b.data_.get(), a.rows(), b.cols(), a.cols(), c, ldc, alpha,
+             beta, parallel);
 }
 
 void gemm_packed_a(const PackedMatrix& a, const float* b, std::int64_t ldb, bool trans_b,
@@ -453,5 +584,31 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k, const float* a
 }
 
 const char* kernel_isa() { return dispatch().name; }
+
+namespace detail {
+
+std::vector<std::string> supported_tiles() {
+    std::vector<std::string> names;
+    for (const Tile& t : kTiles) {
+        if (t.supported()) {
+            names.emplace_back(t.name);
+        }
+    }
+    return names;
+}
+
+void gemm_packed_on(const std::string& tile, const PackedMatrix& a, const PackedMatrix& b,
+                    float* c, std::int64_t ldc, float alpha, float beta, bool parallel) {
+    check_packs(a, b, ldc);
+    const Tile* t = std::find_if(std::begin(kTiles), std::end(kTiles),
+                                 [&](const Tile& candidate) { return tile == candidate.name; });
+    ENS_REQUIRE(t != std::end(kTiles), "gemm_packed_on: unknown tile " + tile);
+    ENS_REQUIRE(t->supported(), "gemm_packed_on: this CPU cannot run tile " + tile);
+    ENS_REQUIRE(b.cols() <= t->max_n, "gemm_packed_on: n too wide for tile " + tile);
+    run_tile(t->fn, a.data_.get(), b.data_.get(), a.rows(), b.cols(), a.cols(), c, ldc, alpha,
+             beta, parallel);
+}
+
+}  // namespace detail
 
 }  // namespace ens::kernel

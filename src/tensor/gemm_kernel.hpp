@@ -7,22 +7,24 @@
 // production BLAS (BLIS/oneDNN style), sized for the L1/L2 of commodity
 // serving hardware:
 //
-//   - micro-kernel: a kMR x kNR register tile updated along kc with FMA —
-//     runtime-dispatched between an AVX2+FMA path, a NEON path and a
-//     portable compiler-vectorized fallback (kernel_isa() names the one in
-//     use). All paths consume the same packed-panel layout, so which ISA
-//     runs never changes operand memory traffic.
-//   - packing: operands are repacked into contiguous, 64-byte-aligned
-//     panels (A: kMR-row strips, column-major within the strip; B: kNR-
-//     column strips, row-major within the strip) so the micro-kernel's
-//     inner loop reads both operands at stride 1 regardless of the caller's
-//     transpose flags. Ragged edges are zero-padded to the full tile —
-//     edge handling costs dead lanes, never a scalar loop.
+//   - register tiles: every tile runs two kMR-row A strips against one
+//     kNR-column B strip along kc with FMA, and all of them read the same
+//     packed-panel layout, so which tile runs never changes operand memory
+//     traffic. The runtime dispatcher (kernel_isa() names its choice) picks:
+//       * "avx512": a 12x16 AVX-512F tile, both strips at once, one zmm
+//         accumulator per row;
+//       * "avx2": the 6x16 AVX2+FMA tile (twelve ymm accumulators), run
+//         once per strip of the pair;
+//       * "neon": the same 6x16 shape in NEON q-registers;
+//       * "portable": the 6x16 shape in plain C++ the compiler vectorizes.
+//     Tile accumulators must be NAMED LOCALS, never arrays: GCC 12 -O3 keeps
+//     a `__m256 c[6]` array in registers but also stores every element to
+//     the stack on each k step, which halves the tile's rate.
 //   - narrow tile: when n <= kNarrowN (batch-1 stage-4 convs have n = 4
 //     output positions) most of the 16-wide tile would multiply B's zero
-//     padding. On AVX2, gemm_packed then runs a second micro-kernel over
-//     the SAME packed panels: vectors along m (a masked 6-lane load per A
-//     strip, two strips per call), broadcasting the 4 B columns, so a
+//     padding. On "avx2" and "avx512" hosts alike, gemm_packed then runs
+//     the AVX2 narrow tile over the SAME packed panels: vectors along m (a
+//     masked 6-lane load per A strip), broadcasting the 4 B columns, so a
 //     narrow GEMM streams its weights at close to memory speed instead of
 //     at a quarter of the tile's compute rate. NEON and portable builds
 //     run narrow problems on their 6x16 tile.
@@ -45,11 +47,12 @@
 // lets gemm()/gemm_serial() and the packed layer paths feed the repo's
 // bit-parity serving tests interchangeably. Stronger still, element
 // C[i][j] depends only on row i of op(A), column j of op(B), k, alpha,
-// beta and its own old value: the narrow tile runs the same per-element
-// FMA chain in the same k order, with the same slab merge, as the AVX2
-// 6x16 tile, and no element sees its neighbours. So a column block
-// of a wider product is bit-identical to the narrower product on its own,
-// whichever tile ran — the property that lets nn::Conv2d fold several
+// beta and its own old value: the AVX-512 12x16 tile and the narrow tile
+// run the same per-element FMA chain in the same k order, with the same
+// slab merge, as the AVX2 6x16 tile, and no element sees its neighbours.
+// So an "avx512" host and an "avx2" host produce the same bits, and a
+// column block of a wider product is bit-identical to the narrower product
+// on its own, whichever tile ran — the property that lets nn::Conv2d fold several
 // images into one GEMM (n = images x positions) without changing a bit.
 // Results are NOT bit-identical to the naive reference kernel
 // (ens::gemm_naive) — blocking and FMA change summation order/rounding —
@@ -57,7 +60,7 @@
 // tests/tensor/kernel_test.cpp.
 //
 // Threading composes with the serve fan-out instead of fighting it: the
-// parallel entry points tile over i-strips as ens::parallel_for work items
+// parallel entry points tile over i-strip pairs as ens::parallel_for work items
 // on the ONE global pool. Called from a pool worker (a body forward inside
 // a batch fan-out), parallel_for runs the range inline on that worker —
 // so coalesced batches parallelize across requests while a lone
@@ -67,6 +70,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define ENS_RESTRICT __restrict__
@@ -76,10 +81,19 @@
 
 namespace ens::kernel {
 
-/// Register tile: kMR rows of C by kNR columns, accumulated over k.
+class PackedMatrix;
+
+namespace detail {
+// Declared here to befriend PackedMatrix; documented with the test seam below.
+void gemm_packed_on(const std::string& tile, const PackedMatrix& a, const PackedMatrix& b,
+                    float* c, std::int64_t ldc, float alpha, float beta, bool parallel);
+}  // namespace detail
+
+/// Panel strip: kMR rows of A by kNR columns of B, accumulated over k.
 /// 6 x 16 fills the 16 architectural YMM registers of AVX2 (12
 /// accumulators + 2 B vectors + broadcast + spare) and maps onto NEON as
-/// 6 x 4 q-registers; the portable path unrolls the same shape.
+/// 6 x 4 q-registers; the portable path unrolls the same shape. AVX-512
+/// runs two such strips at once (12 x 16, one zmm per row).
 inline constexpr std::int64_t kMR = 6;
 inline constexpr std::int64_t kNR = 16;
 
@@ -89,14 +103,13 @@ inline constexpr std::int64_t kNR = 16;
 inline constexpr std::int64_t kKC = 256;
 inline constexpr std::int64_t kMC = 72;  // multiple of kMR
 
-/// Narrow tile: on AVX2, gemm_packed runs problems with n <= kNarrowN
-/// (one B strip, at most a quarter of it live) through a second
-/// micro-kernel that vectorizes along m instead of n — see the header
-/// comment.
+/// Narrow tile: on x86 (AVX2 and up), gemm_packed runs problems with
+/// n <= kNarrowN (one B strip, at most a quarter of it live) through a
+/// tile that vectorizes along m instead of n — see the header comment.
 inline constexpr std::int64_t kNarrowN = 4;
 
-/// Name of the micro-kernel the runtime dispatcher selected for this
-/// process: "avx2", "neon" or "portable". Stable for the process lifetime.
+/// Name of the tile set the runtime dispatcher selected for this process:
+/// "avx512", "avx2", "neon" or "portable". Stable for the process lifetime.
 const char* kernel_isa();
 
 /// One operand repacked into aligned micro-kernel panels. Opaque storage;
@@ -133,6 +146,9 @@ private:
                             std::int64_t);
     friend void gemm_packed(const PackedMatrix&, const PackedMatrix&, float*, std::int64_t, float,
                             float, bool);
+    friend void detail::gemm_packed_on(const std::string&, const PackedMatrix&,
+                                       const PackedMatrix&, float*, std::int64_t, float, float,
+                                       bool);
 
     struct FreeDeleter {
         void operator()(float* p) const noexcept;
@@ -182,5 +198,23 @@ void gemm_packed_b(const float* a, std::int64_t lda, bool trans_a, std::int64_t 
                    bool parallel);
 void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::int64_t ldc,
                  float alpha, float beta, bool parallel);
+
+/// Test seam: reach each tile directly, so parity suites can hold every
+/// tile this CPU runs against the AVX2 6x16 one. Not a user option —
+/// production dispatch stays automatic (kernel_isa()).
+namespace detail {
+
+/// Names of the compiled tiles this CPU can run: "portable-6x16" always,
+/// then "avx2-6x16", "avx2-narrow", "avx512-12x16" or "neon-6x16" as the
+/// build and CPU allow.
+std::vector<std::string> supported_tiles();
+
+/// gemm_packed forced onto the named tile. Throws std::invalid_argument for
+/// an unknown or unsupported tile, or n above what the tile covers
+/// (kNarrowN for "avx2-narrow").
+void gemm_packed_on(const std::string& tile, const PackedMatrix& a, const PackedMatrix& b,
+                    float* c, std::int64_t ldc, float alpha, float beta, bool parallel);
+
+}  // namespace detail
 
 }  // namespace ens::kernel

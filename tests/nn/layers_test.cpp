@@ -67,6 +67,32 @@ TEST(Conv2d, FrozenWeightsSkipGradientAccumulation) {
     EXPECT_FLOAT_EQ(squared_norm(conv.weight().grad), 0.0f);
 }
 
+TEST(Conv2d, BatchBackwardInputGradIsBitIdenticalToPerImageBackwards) {
+    // Conv2d::backward reads each image's output gradient in place; image b
+    // of a batch must get exactly the input gradient it gets on its own.
+    Rng rng(0xBAC4);
+    Conv2d conv(3, 8, 3, 2, 1, rng, /*with_bias=*/true);
+    const std::int64_t batch = 3;
+    const Tensor x = Tensor::randn(Shape{batch, 3, 6, 6}, rng);
+    const Tensor y = conv.forward(x);
+    const Tensor dy = Tensor::randn(y.shape(), rng);
+    const Tensor dx = conv.backward(dy);
+    const std::int64_t in_plane = x.numel() / batch;
+    const std::int64_t out_plane = y.numel() / batch;
+    for (std::int64_t b = 0; b < batch; ++b) {
+        const Tensor xb = Tensor::from_vector(
+            Shape{1, 3, 6, 6},
+            std::vector<float>(x.data() + b * in_plane, x.data() + (b + 1) * in_plane));
+        const Tensor dyb = Tensor::from_vector(
+            Shape{1, 8, 3, 3},
+            std::vector<float>(dy.data() + b * out_plane, dy.data() + (b + 1) * out_plane));
+        (void)conv.forward(xb);
+        const std::vector<float> expected = conv.backward(dyb).to_vector();
+        const std::vector<float> got(dx.data() + b * in_plane, dx.data() + (b + 1) * in_plane);
+        EXPECT_EQ(got, expected) << "image " << b;
+    }
+}
+
 /// Conv2d folds g = clamp(out / positions, 1, batch) images into one GEMM.
 /// Each case notes its g; batches 1-5 then cover unfolded, whole-batch and
 /// ragged last groups.

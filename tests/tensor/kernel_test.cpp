@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -268,7 +270,101 @@ TEST(Kernel, TensorGemmAndGemmSerialAreBitIdentical) {
 
 TEST(Kernel, IsaIsDispatched) {
     const std::string isa = kernel::kernel_isa();
-    EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "portable") << isa;
+    EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "neon" || isa == "portable") << isa;
+    // The dispatcher picks the widest tile the CPU runs.
+    const std::vector<std::string> tiles = kernel::detail::supported_tiles();
+    const auto runs = [&](const char* tile) {
+        return std::find(tiles.begin(), tiles.end(), tile) != tiles.end();
+    };
+    EXPECT_TRUE(runs("portable-6x16"));
+    EXPECT_EQ(isa == "avx512", runs("avx512-12x16")) << isa;
+    if (isa == "avx2") {
+        EXPECT_TRUE(runs("avx2-6x16"));
+    }
+}
+
+// ------------------------------------------------------------ tile parity
+
+/// Every tile the CPU runs must produce the AVX2 6x16 tile's bits, reached
+/// through the kernel's tile seam (kernel::detail) so each one is held to it
+/// on any host, whichever the dispatcher picks. m covers lone strips (odd
+/// strip counts run the last strip alone in a pair slot) and the parallel
+/// split; n covers the narrow range, one full B strip, and ragged strips; k
+/// spans three kKC slabs so the slab merge is covered. The portable tile is
+/// left out: without FMA its rounding differs by design.
+class KernelTile : public ::testing::TestWithParam<const char*> {};
+
+INSTANTIATE_TEST_SUITE_P(Tiles, KernelTile, ::testing::Values("avx2-narrow", "avx512-12x16"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-', '_');
+                             return name;
+                         });
+
+TEST_P(KernelTile, BitIdenticalToTheAvx2Tile) {
+    const std::string tile = GetParam();
+    const std::string reference = "avx2-6x16";
+    const std::vector<std::string> supported = kernel::detail::supported_tiles();
+    for (const std::string& needed : {reference, tile}) {
+        if (std::find(supported.begin(), supported.end(), needed) == supported.end()) {
+            GTEST_SKIP() << "tile " << needed << " is not supported on this CPU";
+        }
+    }
+    const std::int64_t k = 2 * kernel::kKC + 89;
+    const std::int64_t max_n =
+        tile == "avx2-narrow" ? kernel::kNarrowN : std::numeric_limits<std::int64_t>::max();
+    for (const std::int64_t m : {1, 5, 6, 7, 12, 13, 512}) {
+        for (const std::int64_t n : {1, 2, 3, 4, 16, 17, 33}) {
+            if (n > max_n) {
+                continue;
+            }
+            SCOPED_TRACE("m " + std::to_string(m) + " n " + std::to_string(n));
+            Rng rng(0x711E + static_cast<std::uint64_t>(m * 64 + n));
+            const Tensor a = Tensor::randn(Shape{m, k}, rng);
+            const Tensor b = Tensor::randn(Shape{k, n}, rng);
+            const kernel::PackedMatrix pa = kernel::pack_a(a.data(), k, false, m, k);
+            const kernel::PackedMatrix pb = kernel::pack_b(b.data(), n, false, k, n);
+            for (const float beta : {0.5f, 0.0f}) {
+                SCOPED_TRACE("beta " + std::to_string(beta));
+                Tensor c0 = Tensor::randn(Shape{m, n}, rng);
+                if (beta == 0.0f) {
+                    c0.fill(std::nanf(""));  // beta == 0 must overwrite, never read
+                }
+                for (const bool parallel : {false, true}) {
+                    SCOPED_TRACE(parallel ? "parallel" : "serial");
+                    const auto run = [&](const std::string& on) {
+                        Tensor c = c0.clone();
+                        kernel::detail::gemm_packed_on(on, pa, pb, c.data(), n, 1.25f, beta,
+                                                       parallel);
+                        return c.to_vector();
+                    };
+                    const std::vector<float> expected = run(reference);
+                    ASSERT_TRUE(std::none_of(expected.begin(), expected.end(),
+                                             [](float v) { return std::isnan(v); }));
+                    ASSERT_EQ(expected, run(tile));
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelTile, SeamRejectsUnknownTilesAndTooWideProblems) {
+    Rng rng(0x5EA);
+    const Tensor a = Tensor::randn(Shape{6, 8}, rng);
+    const Tensor b = Tensor::randn(Shape{8, 5}, rng);
+    const kernel::PackedMatrix pa = kernel::pack_a(a.data(), 8, false, 6, 8);
+    const kernel::PackedMatrix pb = kernel::pack_b(b.data(), 5, false, 8, 5);
+    Tensor c(Shape{6, 5});
+    EXPECT_THROW(kernel::detail::gemm_packed_on("avx3-1x1", pa, pb, c.data(), 5, 1.0f, 0.0f,
+                                                false),
+                 std::invalid_argument);
+    const std::vector<std::string> supported = kernel::detail::supported_tiles();
+    if (std::find(supported.begin(), supported.end(), "avx2-narrow") != supported.end()) {
+        EXPECT_THROW(kernel::detail::gemm_packed_on("avx2-narrow", pa, pb, c.data(), 5, 1.0f,
+                                                    0.0f, false),
+                     std::invalid_argument)
+            << "n = 5 is past the narrow tile's columns";
+    }
 }
 
 TEST(Kernel, RejectsWrongSidePacksAndGeometryMismatch) {
